@@ -6,22 +6,22 @@
 // uniform, so a static contiguous-tile partition hands one worker most of
 // the work. Three measurements:
 //
-//  1. Bit-identity self-check: the tiled Deterministic mode must
-//     reproduce the untiled Sequential step exactly (fields, particles,
-//     energy series) on the clumped deck — the bench exits nonzero on
-//     any divergence, like step_overlap's physics check.
-//  2. Modeled makespans: per-tile task costs are *measured* serially
-//     (Deterministic mode times every per-tile push phase), then replayed
-//     deterministically through the two placement policies — a static
-//     contiguous tile partition vs the stealing executor's LPT/greedy
-//     placement — at several virtual worker counts. This is the repo's
-//     modeled-metric idiom (cf. ext_batch_throughput): the schedule
-//     quality is host-independent and reproducible on a 1-core CI box,
-//     where real thread timings would measure the kernel scheduler, not
-//     the balancer. The headline is speedup at 4 workers.
-//  3. Real pool telemetry: the same deck runs through the Stealing
-//     executor on a real StealPool to exercise the full path end-to-end
-//     and record steal/idle counters and the measured tile imbalance.
+//  1. Bit-identity self-check: the tiled step on a 1-worker pool must
+//     reproduce the 4-worker run exactly (fields, particles, energy
+//     series) at a fixed tile count on the clumped deck — the bench exits
+//     nonzero on any divergence, like step_overlap's physics check.
+//  2. Modeled makespans: per-tile task costs are *measured* on a 1-worker
+//     pool (every per-tile push phase is timed with no concurrent
+//     phases), then replayed deterministically through the two placement
+//     policies — a static contiguous tile partition vs the pool's
+//     LPT/greedy placement — at several virtual worker counts. This is
+//     the repo's modeled-metric idiom (cf. ext_batch_throughput): the
+//     schedule quality is host-independent and reproducible on a 1-core
+//     CI box, where real thread timings would measure the kernel
+//     scheduler, not the balancer. The headline is speedup at 4 workers.
+//  3. Real pool telemetry: the same deck runs on a real 4-worker pool to
+//     exercise the full path end-to-end and record steal/idle counters
+//     and the measured tile imbalance.
 //
 //   ./tile_balance --nx=16 --ny=8 --nz=32 --ppc=8 --clump=8 --tiles=16
 //   ./tile_balance --smoke          # CI-sized, no speedup threshold
@@ -66,7 +66,7 @@ core::Simulation make_clumped(const Params& p) {
 }
 
 /// Fields + particles + energy series must match bit for bit between the
-/// tiled Deterministic mode and the untiled Sequential step.
+/// two tiled runs.
 bool bitwise_equal(core::Simulation& a, core::Simulation& b) {
   const auto& fa = a.fields();
   const auto& fb = b.fields();
@@ -101,10 +101,10 @@ bool bitwise_equal(core::Simulation& a, core::Simulation& b) {
   return true;
 }
 
-/// Measured per-tile costs: run the Deterministic tiled mode (which times
-/// every phase serially) and take, per tile, the min-across-steps of the
-/// per-step sum of that tile's push phases — min-of-reps is the repo's
-/// standard denoiser.
+/// Measured per-tile costs: step a tiled simulation on a 1-worker pool
+/// (every phase timed with nothing running beside it) and take, per tile,
+/// the min-across-steps of the per-step sum of that tile's push phases —
+/// min-of-reps is the repo's standard denoiser.
 std::vector<double> measure_tile_costs(core::Simulation& sim, int nt,
                                        int steps) {
   std::vector<double> best(static_cast<std::size_t>(nt), 0.0);
@@ -182,36 +182,40 @@ int main(int argc, char** argv) {
       p.nx, p.ny, p.nz, p.ppc, static_cast<double>(p.clump), p.tiles,
       smoke ? " (smoke)" : "");
 
-  // -- 1. bit-identity self-check (Deterministic tiled vs untiled) ------
+  // -- 1. bit-identity self-check (1 vs 4 pool workers) -----------------
   {
     Params small = p;
     small.nx = std::min(p.nx, 12);
     small.nz = std::min(p.nz, 8);
     small.ppc = std::min(p.ppc, 4);
-    core::Simulation tiled = make_clumped(small);
-    core::Simulation ref = make_clumped(small);
-    tiled.config().tiles.enabled = true;
-    tiled.config().tiles.count = std::min(small.nz, 4);
-    tiled.config().tiles.exec = core::TileExec::Deterministic;
-    ref.config().scheduler = core::StepScheduler::Sequential;
+    core::Simulation w1 = make_clumped(small);
+    core::Simulation w4 = make_clumped(small);
+    for (auto* s : {&w1, &w4}) {
+      s->config().tiles.enabled = true;
+      s->config().tiles.count = std::min(small.nz, 4);
+      s->config().energy_interval = 5;
+    }
+    w1.config().graph_instances = 1;
+    w4.config().graph_instances = 4;
     const int check_steps = smoke ? 25 : 50;  // crosses the sort interval
-    tiled.run(check_steps);
-    ref.run(check_steps);
-    if (!bitwise_equal(tiled, ref)) {
+    w1.run(check_steps);
+    w4.run(check_steps);
+    if (!bitwise_equal(w1, w4)) {
       std::fprintf(stderr,
-                   "tile_balance: Deterministic tiled mode diverged from the "
-                   "untiled Sequential step — bit-identity broken\n");
+                   "tile_balance: tiled step diverged between 1 and 4 "
+                   "workers — bit-determinism broken\n");
       return 1;
     }
-    std::printf("bit-identity check: tiled == untiled over %d steps OK\n\n",
-                check_steps);
+    std::printf(
+        "bit-identity check: 1 == 4 workers over %d steps OK\n\n",
+        check_steps);
   }
 
   // -- 2. measured per-tile costs, modeled schedules --------------------
   core::Simulation sim = make_clumped(p);
   sim.config().tiles.enabled = true;
   sim.config().tiles.count = p.tiles;
-  sim.config().tiles.exec = core::TileExec::Deterministic;
+  sim.config().graph_instances = 1;
   sim.run(2);  // warmup: first touch, bucketing
   const int nt = sim.tile_map().count();
   const std::vector<double> cost = measure_tile_costs(sim, nt, p.steps);
@@ -245,8 +249,7 @@ int main(int argc, char** argv) {
   core::Simulation steal_sim = make_clumped(p);
   steal_sim.config().tiles.enabled = true;
   steal_sim.config().tiles.count = p.tiles;
-  steal_sim.config().tiles.exec = core::TileExec::Stealing;
-  steal_sim.config().tiles.workers = 4;
+  steal_sim.config().graph_instances = 4;
   const auto t0 = std::chrono::steady_clock::now();
   steal_sim.run(p.steps);
   const double steal_wall =

@@ -8,9 +8,9 @@
 // counter-based RNG stream requirements. The core pipeline itself
 // (interpolate, push, accumulate, field advance, injection, diagnostics,
 // sort, checkpoint) is registered through the same interface
-// (core/pipeline_modules.cpp), so build_step_graph / build_tiled_step_graph
-// are generic composition: one source of truth for all three execution
-// shapes (Sequential, Graph, tiled Deterministic/Stealing).
+// (core/pipeline_modules.cpp), so build_step_graph is generic
+// composition: one source of truth for every execution shape (Sequential,
+// Graph, tiled).
 //
 // This is the seam the plugin-registry PIC architectures (PIConGPU's
 // plugin system, chombo-discharge's physics layers) use to absorb new
@@ -41,7 +41,7 @@ class TileMap;
 
 /// Canonical position of a module's phases in the step. Modules plan in
 /// ascending stage order (ties keep registration order), which is what
-/// makes the serial-chain (Deterministic) schedule physically sensible
+/// makes insertion order — the Sequential schedule — physically sensible
 /// without any module knowing its neighbors.
 enum class StepStage : std::uint8_t {
   Gather = 0,       // fields -> interpolator, accumulator clear
@@ -89,7 +89,6 @@ struct ModuleRng {
 struct ModuleStepContext {
   std::int64_t next_step = 0;  // step count once this step completes
   bool tiled = false;
-  bool stealing = false;             // tiled Stealing (vs Deterministic)
   const TileMap* tiles = nullptr;    // valid when tiled
   std::function<void()> poll;        // no-op when untiled
 };
@@ -210,17 +209,12 @@ class PhysicsModule {
 /// with the composition conventions that keep a multi-module step both
 /// valid (every declared conflict path-ordered) and bit-reproducible:
 ///
-///  * serial-chain mode (tiled Deterministic): add() chains every phase to
-///    the previous one — insertion order IS the schedule — and edge()/
-///    join() are no-ops. A module that plans in registry order needs no
-///    mode-specific logic to be correct here.
-///  * spine/branch/join (untiled Graph + tiled Stealing): add_spine()
-///    appends to the step's serial spine (ordered after the current tail
-///    and every pending join, then becomes the tail); add_branch() hangs
-///    off the tail without becoming it; join() parks a phase for the next
-///    spine phase to order after (how per-species sorts rejoin before the
-///    checkpoint, and how side phases like tracers order before the next
-///    spine stage).
+///  * spine/branch/join: add_spine() appends to the step's serial spine
+///    (ordered after the current tail and every pending join, then
+///    becomes the tail); add_branch() hangs off the tail without becoming
+///    it; join() parks a phase for the next spine phase to order after
+///    (how per-species sorts rejoin before the checkpoint, and how side
+///    phases like tracers order before the next spine stage).
 ///  * anchors: well-known phase names published by earlier modules
 ///    ("interp_ready", "acc_ready") so later modules can order against
 ///    them without knowing which phase implements them in this shape.
@@ -230,11 +224,9 @@ class PhysicsModule {
 ///    builders maintained).
 class StepComposer {
  public:
-  StepComposer(StepGraph& g, bool serial_chain)
-      : g_(g), serial_(serial_chain) {}
+  explicit StepComposer(StepGraph& g) : g_(g) {}
 
-  /// Add a phase; ordering is the caller's job via edge()/anchors (in
-  /// serial-chain mode the phase is chained to the previous one instead).
+  /// Add a phase; ordering is the caller's job via edge()/anchors.
   void add(StepPhase p);
 
   /// Add a phase on the step spine: after tail + pending joins, becomes
@@ -245,8 +237,8 @@ class StepComposer {
   /// becoming the tail (pending joins stay pending).
   void add_branch(StepPhase p);
 
-  /// Directed edge (no-op in serial-chain mode). Empty names are ignored,
-  /// so `c.edge(c.anchor("..."), name)` is safe when the anchor is unset.
+  /// Directed edge. Empty names are ignored, so
+  /// `c.edge(c.anchor("..."), name)` is safe when the anchor is unset.
   void edge(const std::string& before, const std::string& after);
 
   /// Park `phase` for the next add_spine() to order after.
@@ -269,13 +261,10 @@ class StepComposer {
     return {resources_.begin(), resources_.end()};
   }
 
-  [[nodiscard]] bool serial_chain() const { return serial_; }
   [[nodiscard]] StepGraph& graph() { return g_; }
 
  private:
   StepGraph& g_;
-  bool serial_;
-  std::string last_added_;          // serial-chain predecessor
   std::string tail_;                // spine tail
   std::vector<std::string> pending_;  // parked joins
   std::map<std::string, std::string> anchors_;

@@ -3,12 +3,11 @@
 // The built-in step pipeline, expressed as registered PhysicsModules
 // (docs/MODULES.md): interpolate, push, accumulate, field advance,
 // injection, diagnostics, sort, checkpoint. Simulation::build_step_graph
-// and build_tiled_step_graph are generic composition over these — one
-// source of truth for the Sequential, Graph, and tiled
-// Deterministic/Stealing execution shapes, with phase names, bodies,
+// is generic composition over these — one source of truth for the
+// Sequential, Graph, and tiled execution shapes, with phase names, bodies,
 // resource sets, and edges preserved exactly from the pre-registry
-// builders so the composed step is bit-identical to the legacy one
-// (tests/test_step_graph.cpp, tests/test_tiles.cpp).
+// builders so the composed untiled step is bit-identical to the legacy
+// one (tests/test_step_graph.cpp, tests/test_modules.cpp).
 
 #include "core/simulation.hpp"
 
@@ -34,10 +33,6 @@ struct PipelineAccess {
   static TileMap& tile_map(Simulation& s) { return s.tile_map_; }
   static std::vector<std::vector<TileAccumulator>>& tile_acc(Simulation& s) {
     return s.tile_acc_;
-  }
-  static std::vector<Simulation::TilePushPlan>& tile_push_plans(
-      Simulation& s) {
-    return s.tile_push_plans_;
   }
   static std::shared_ptr<std::vector<std::atomic<std::uint32_t>>>&
   tiled_runs_used(Simulation& s) {
@@ -112,19 +107,17 @@ class GatherModule final : public PhysicsModule {
              static_cast<double>(z1 - z0 + 1) *
                  static_cast<double>(tm.plane_voxels()) * kVoxelCost});
     }
-    if (ctx.stealing) {
-      // Fan-in barrier: a tile's particles may have drifted arbitrarily
-      // far since the last bucketing, so every push conservatively reads
-      // the whole interpolator (declared as the "interp" resource).
-      std::vector<std::string> rd;
-      rd.reserve(static_cast<std::size_t>(nt));
-      for (int t = 0; t < nt; ++t) rd.push_back("interp" + tile_suffix(t));
-      c.add({"interp_done", std::move(rd), {"interp"}, [poll] { poll(); },
-             0.0});
-      for (int t = 0; t < nt; ++t)
-        c.edge("interp[t" + std::to_string(t) + "]", "interp_done");
-      c.set_anchor("interp_ready", "interp_done");
-    }
+    // Fan-in barrier: a tile's particles may have drifted arbitrarily far
+    // since the last bucketing, so every push conservatively reads the
+    // whole interpolator (declared as the "interp" resource).
+    std::vector<std::string> rd;
+    rd.reserve(static_cast<std::size_t>(nt));
+    for (int t = 0; t < nt; ++t) rd.push_back("interp" + tile_suffix(t));
+    c.add({"interp_done", std::move(rd), {"interp"}, [poll] { poll(); },
+           0.0});
+    for (int t = 0; t < nt; ++t)
+      c.edge("interp[t" + std::to_string(t) + "]", "interp_done");
+    c.set_anchor("interp_ready", "interp_done");
     c.add({"acc_clear",
            {},
            {"acc"},
@@ -140,11 +133,8 @@ class GatherModule final : public PhysicsModule {
 // ---------------------------------------------------------------------
 // Push: per-species particle advance. Untiled: chained per-species phases
 // (they share the accumulator and float atomics are not associative).
-// Tiled Deterministic: a global dispatch/run-partition plan phase per
-// species, then per-tile serial pushes into the global accumulator —
-// concatenation reproduces the untiled kernels bit for bit. Tiled
-// Stealing: per-tile dispatch off the tile's own sortedness, deposits
-// into tile-private blocks.
+// Tiled: per-tile dispatch off the tile's own sortedness, deposits into
+// tile-private blocks.
 // ---------------------------------------------------------------------
 class PushModule final : public PhysicsModule {
  public:
@@ -189,30 +179,29 @@ class PushModule final : public PhysicsModule {
       push_pp[s] = tune::push_cost_per_particle(species[s].layout());
       if (push_pp[s] <= 0) push_pp[s] = 5e-9;
     }
-    std::shared_ptr<std::vector<std::atomic<std::uint32_t>>> runs_used;
-    if (ctx.stealing) {
-      runs_used = std::make_shared<std::vector<std::atomic<std::uint32_t>>>(
-          ns);
-      A::tiled_runs_used(sim) = runs_used;
-    }
+    auto runs_used =
+        std::make_shared<std::vector<std::atomic<std::uint32_t>>>(ns);
+    A::tiled_runs_used(sim) = runs_used;
     for (std::size_t s = 0; s < ns; ++s) {
-      if (!ctx.stealing) {
-        // Global dispatch decision + global run segmentation, partitioned
-        // by tile index range: concatenating the per-tile serial pushes
-        // reproduces the untiled kernels' iteration order and flush
-        // grouping exactly (docs/TILES.md, "Determinism").
-        const std::string plan_name = "push_plan[" + species[s].name + "]";
-        std::vector<std::string> rd;
-        rd.reserve(static_cast<std::size_t>(nt));
-        for (int t = 0; t < nt; ++t) rd.push_back(part_res(species[s], t));
-        c.add({plan_name,
-               std::move(rd),
-               {"push_plan." + species[s].name},
-               [&sim, s, poll] {
+      for (int t = 0; t < nt; ++t) {
+        const std::string name = push_name(species[s], t);
+        const double cost =
+            static_cast<double>(
+                species[s].tiles[static_cast<std::size_t>(t)].count()) *
+            push_pp[s];
+        c.add({name,
+               {"interp"},
+               {blk_res(species[s], t), part_res(species[s], t)},
+               [&sim, s, t, runs_used, poll] {
                  poll();
                  auto& cfg = A::cfg(sim);
                  Species& sp = A::species(sim)[s];
-                 auto& plan = A::tile_push_plans(sim)[s];
+                 TileSlot& slot = sp.tiles[static_cast<std::size_t>(t)];
+                 TileAccumulator& blk =
+                     A::tile_acc(sim)[s][static_cast<std::size_t>(t)];
+                 blk.clear();
+                 const index_t b = slot.begin, e = slot.end;
+                 if (b >= e) return;
                  bool use_runs = false;
                  switch (cfg.push_path) {
                    case PushPath::Generic:
@@ -221,128 +210,44 @@ class PushModule final : public PhysicsModule {
                      use_runs = cfg.strategy != VectorStrategy::AdHoc;
                      break;
                    case PushPath::AutoDetect:
+                     // Per-tile dispatch off the tile's OWN sortedness:
+                     // a churning tile goes generic without vetoing its
+                     // quiet neighbors' run-aware path.
                      use_runs = cfg.strategy != VectorStrategy::AdHoc &&
-                                run_aware_profitable(sp);
+                                run_aware_profitable_range(
+                                    sp, b, e, slot.sorted_hint,
+                                    slot.steps_since_sort);
                      break;
                  }
-                 plan.use_runs = use_runs;
-                 A::last_push_paths(sim)[s] =
-                     use_runs ? PushPath::RunAware : PushPath::Generic;
                  prof::counter_add(use_runs ? "push.dispatch.run_aware"
                                             : "push.dispatch.generic");
-                 const int ntt = A::tile_map(sim).count();
-                 plan.run_lo.assign(static_cast<std::size_t>(ntt) + 1, 0);
-                 if (!use_runs) return;
-                 dispatch_layout(sp.p, [&](auto a) {
-                   sort::segment_runs(
-                       sp.np, [a](index_t i) { return a.cell(i); },
-                       sp.push_runs);
-                 });
-                 std::size_t r = 0;
-                 for (int t = 0; t < ntt; ++t) {
-                   plan.run_lo[static_cast<std::size_t>(t)] = r;
-                   const index_t end =
-                       sp.tiles[static_cast<std::size_t>(t)].end;
-                   while (r < sp.push_runs.size() &&
-                          sp.push_runs[r].begin < end)
-                     ++r;
+                 if (use_runs) {
+                   (*runs_used)[s].store(1, std::memory_order_relaxed);
+                   dispatch_layout(sp.p, [&](auto a) {
+                     sort::segment_runs(
+                         e - b,
+                         [a, b](index_t i) { return a.cell(b + i); },
+                         slot.runs);
+                   });
+                   for (auto& r : slot.runs) r.begin += b;
+                   advance_runs_serial(sp, A::interp(sim), blk,
+                                       A::fields(sim).grid, cfg.strategy,
+                                       {}, slot.runs);
+                 } else {
+                   advance_range_serial(sp, A::interp(sim), blk,
+                                        A::fields(sim).grid, cfg.strategy,
+                                        {}, b, e);
                  }
-                 plan.run_lo[static_cast<std::size_t>(ntt)] =
-                     sp.push_runs.size();
                },
-               0.0});
-      }
-      for (int t = 0; t < nt; ++t) {
-        const std::string name = push_name(species[s], t);
-        const double cost =
-            static_cast<double>(
-                species[s].tiles[static_cast<std::size_t>(t)].count()) *
-            push_pp[s];
-        if (!ctx.stealing) {
-          c.add({name,
-                 {"interp", "push_plan." + species[s].name},
-                 {"acc", part_res(species[s], t)},
-                 [&sim, s, t, poll] {
-                   poll();
-                   auto& cfg = A::cfg(sim);
-                   Species& sp = A::species(sim)[s];
-                   const TileSlot& slot =
-                       sp.tiles[static_cast<std::size_t>(t)];
-                   const auto& plan = A::tile_push_plans(sim)[s];
-                   if (plan.use_runs) {
-                     advance_runs_serial(
-                         sp, A::interp(sim), A::acc(sim),
-                         A::fields(sim).grid, cfg.strategy, {}, sp.push_runs,
-                         plan.run_lo[static_cast<std::size_t>(t)],
-                         plan.run_lo[static_cast<std::size_t>(t) + 1]);
-                   } else if (slot.count() > 0) {
-                     advance_range_serial(sp, A::interp(sim), A::acc(sim),
-                                          A::fields(sim).grid, cfg.strategy,
-                                          {}, slot.begin, slot.end);
-                   }
-                 },
-                 cost});
-        } else {
-          c.add({name,
-                 {"interp"},
-                 {blk_res(species[s], t), part_res(species[s], t)},
-                 [&sim, s, t, runs_used, poll] {
-                   poll();
-                   auto& cfg = A::cfg(sim);
-                   Species& sp = A::species(sim)[s];
-                   TileSlot& slot = sp.tiles[static_cast<std::size_t>(t)];
-                   TileAccumulator& blk =
-                       A::tile_acc(sim)[s][static_cast<std::size_t>(t)];
-                   blk.clear();
-                   const index_t b = slot.begin, e = slot.end;
-                   if (b >= e) return;
-                   bool use_runs = false;
-                   switch (cfg.push_path) {
-                     case PushPath::Generic:
-                       break;
-                     case PushPath::RunAware:
-                       use_runs = cfg.strategy != VectorStrategy::AdHoc;
-                       break;
-                     case PushPath::AutoDetect:
-                       // Per-tile dispatch off the tile's OWN sortedness:
-                       // a churning tile goes generic without vetoing its
-                       // quiet neighbors' run-aware path.
-                       use_runs = cfg.strategy != VectorStrategy::AdHoc &&
-                                  run_aware_profitable_range(
-                                      sp, b, e, slot.sorted_hint,
-                                      slot.steps_since_sort);
-                       break;
-                   }
-                   prof::counter_add(use_runs ? "push.dispatch.run_aware"
-                                              : "push.dispatch.generic");
-                   if (use_runs) {
-                     (*runs_used)[s].store(1, std::memory_order_relaxed);
-                     dispatch_layout(sp.p, [&](auto a) {
-                       sort::segment_runs(
-                           e - b,
-                           [a, b](index_t i) { return a.cell(b + i); },
-                           slot.runs);
-                     });
-                     for (auto& r : slot.runs) r.begin += b;
-                     advance_runs_serial(sp, A::interp(sim), blk,
-                                         A::fields(sim).grid, cfg.strategy,
-                                         {}, slot.runs, 0, slot.runs.size());
-                   } else {
-                     advance_range_serial(sp, A::interp(sim), blk,
-                                          A::fields(sim).grid, cfg.strategy,
-                                          {}, b, e);
-                   }
-                 },
-                 cost});
-          c.edge(c.anchor("interp_ready"), name);
-        }
+               cost});
+        c.edge(c.anchor("interp_ready"), name);
       }
     }
   }
 };
 
 // ---------------------------------------------------------------------
-// Deposit: (stealing: fixed-order merge of the tile-private blocks, then)
+// Deposit: (tiled: fixed-order merge of the tile-private blocks, then)
 // ghost reduction + accumulator unload into J. The tiled body also ages
 // every species' sortedness once per step, like the untiled
 // advance_species does internally.
@@ -372,7 +277,7 @@ class AccumulateModule final : public PhysicsModule {
     const auto poll = ctx.poll;
     const double nv_cost =
         static_cast<double>(A::fields(sim).grid.nv()) * kVoxelCost;
-    if (ctx.stealing && ns > 0) {
+    if (ns > 0) {
       // Deterministic seam merge: blocks land in the global accumulator
       // in ascending (species, tile) order, window planes before overflow
       // — the same float-add grouping every run, whatever the schedule.
@@ -393,7 +298,7 @@ class AccumulateModule final : public PhysicsModule {
         for (int t = 0; t < nt; ++t)
           c.edge(push_name(species[s], t), "acc_merge");
       c.set_tail("acc_merge");
-    } else if (ctx.stealing) {
+    } else {
       c.set_tail(c.anchor("acc_ready"));
     }
     c.add_spine({"accumulate",

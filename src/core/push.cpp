@@ -112,8 +112,7 @@ inline void boris(float& ux, float& uy, float& uz, float hax, float hay,
 
 /// The per-particle generic push body, shared verbatim by the parallel
 /// Auto kernel, the scalar tails of the blocked strategies, and the
-/// serial tile-range path — one definition so the tiled sequential mode
-/// is bit-identical to the untiled kernels by construction.
+/// serial tile-range path — one definition of the particle update.
 template <class A, class AccA>
 inline void push_one(const A& a, index_t n, const InterpolatorArray& interp,
                      AccA& acc, const Grid& g, const MoverOptions& opts,
@@ -692,81 +691,6 @@ void push_manual_runs(Species& sp, const A& a,
       });
 }
 
-// ----------------------------------------------------------------------
-// Serial tile-task kernels (docs/TILES.md): one tile's index range or run
-// sublist, executed in order on the calling thread, depositing into
-// either the global array (deterministic sequential mode) or a
-// tile-private TileAccumulator block (stealing mode).
-// ----------------------------------------------------------------------
-
-template <class AccA>
-void advance_range_serial_impl(Species& sp, const InterpolatorArray& interp,
-                               AccA& acc, const Grid& g,
-                               VectorStrategy strategy,
-                               const MoverOptions& opts, index_t n0,
-                               index_t n1) {
-  if (n0 >= n1) return;
-  const PushConsts c = make_consts(sp, g);
-  dispatch_layout(sp.p, [&](auto a) {
-    switch (strategy) {
-      case VectorStrategy::Auto:
-        for (index_t n = n0; n < n1; ++n)
-          push_one(a, n, interp, acc, g, opts, c);
-        break;
-      case VectorStrategy::Guided:
-        for (index_t b = n0; b < n1; b += kPushBlock)
-          push_guided_block(a, interp, acc, g, opts, c, b,
-                            std::min(n1, b + kPushBlock));
-        break;
-      case VectorStrategy::Manual: {
-        constexpr int W = kManualVecWidth;
-        const index_t nfull = n0 + ((n1 - n0) / W) * W;
-        for (index_t b = n0; b < nfull; b += W)
-          push_manual_block(a, interp, acc, g, opts, c, b);
-        push_scalar_range(a, interp, acc, g, opts, c, nfull, n1);
-        break;
-      }
-      case VectorStrategy::AdHoc:
-        // The 4-wide transpose pipeline reads whole AoS blocks from a
-        // fixed base; per-tile rebasing has no exact equivalent, so tiles
-        // run the scalar pipeline (same physics within rsqrt ulps).
-        push_scalar_range(a, interp, acc, g, opts, c, n0, n1);
-        break;
-    }
-  });
-}
-
-template <class AccA>
-void advance_runs_serial_impl(Species& sp, const InterpolatorArray& interp,
-                              AccA& acc, const Grid& g,
-                              VectorStrategy strategy,
-                              const MoverOptions& opts,
-                              const std::vector<sort::CellRun>& runs,
-                              std::size_t r0, std::size_t r1) {
-  if (strategy == VectorStrategy::AdHoc)
-    throw std::invalid_argument(
-        "advance_runs_serial: AdHoc has no run-aware variant");
-  const PushConsts c = make_consts(sp, g);
-  dispatch_layout(sp.p, [&](auto a) {
-    for (std::size_t r = r0; r < r1 && r < runs.size(); ++r) {
-      const sort::CellRun& run = runs[r];
-      switch (strategy) {
-        case VectorStrategy::Auto:
-          run_body_auto(a, run, interp, acc, g, opts, c);
-          break;
-        case VectorStrategy::Guided:
-          run_body_guided(a, run, interp, acc, g, opts, c);
-          break;
-        case VectorStrategy::Manual:
-          run_body_manual(a, run, interp, acc, g, opts, c);
-          break;
-        case VectorStrategy::AdHoc:
-          break;  // unreachable: thrown above
-      }
-    }
-  });
-}
-
 }  // namespace
 
 bool run_aware_profitable(const Species& sp) {
@@ -891,34 +815,72 @@ void advance_species_runs(Species& sp, const InterpolatorArray& interp,
   });
 }
 
-void advance_range_serial(Species& sp, const InterpolatorArray& interp,
-                          AccumulatorArray& acc, const Grid& g,
-                          VectorStrategy strategy, const MoverOptions& opts,
-                          index_t n0, index_t n1) {
-  advance_range_serial_impl(sp, interp, acc, g, strategy, opts, n0, n1);
-}
+// ----------------------------------------------------------------------
+// Serial tile-task kernels (docs/TILES.md): one tile's index range or run
+// list, executed in order on the calling thread, depositing into the
+// tile-private TileAccumulator block.
+// ----------------------------------------------------------------------
 
 void advance_range_serial(Species& sp, const InterpolatorArray& interp,
                           TileAccumulator& acc, const Grid& g,
                           VectorStrategy strategy, const MoverOptions& opts,
                           index_t n0, index_t n1) {
-  advance_range_serial_impl(sp, interp, acc, g, strategy, opts, n0, n1);
-}
-
-void advance_runs_serial(Species& sp, const InterpolatorArray& interp,
-                         AccumulatorArray& acc, const Grid& g,
-                         VectorStrategy strategy, const MoverOptions& opts,
-                         const std::vector<sort::CellRun>& runs,
-                         std::size_t r0, std::size_t r1) {
-  advance_runs_serial_impl(sp, interp, acc, g, strategy, opts, runs, r0, r1);
+  if (n0 >= n1) return;
+  const PushConsts c = make_consts(sp, g);
+  dispatch_layout(sp.p, [&](auto a) {
+    switch (strategy) {
+      case VectorStrategy::Auto:
+        for (index_t n = n0; n < n1; ++n)
+          push_one(a, n, interp, acc, g, opts, c);
+        break;
+      case VectorStrategy::Guided:
+        for (index_t b = n0; b < n1; b += kPushBlock)
+          push_guided_block(a, interp, acc, g, opts, c, b,
+                            std::min(n1, b + kPushBlock));
+        break;
+      case VectorStrategy::Manual: {
+        constexpr int W = kManualVecWidth;
+        const index_t nfull = n0 + ((n1 - n0) / W) * W;
+        for (index_t b = n0; b < nfull; b += W)
+          push_manual_block(a, interp, acc, g, opts, c, b);
+        push_scalar_range(a, interp, acc, g, opts, c, nfull, n1);
+        break;
+      }
+      case VectorStrategy::AdHoc:
+        // The 4-wide transpose pipeline reads whole AoS blocks from a
+        // fixed base; per-tile rebasing has no exact equivalent, so tiles
+        // run the scalar pipeline (same physics within rsqrt ulps).
+        push_scalar_range(a, interp, acc, g, opts, c, n0, n1);
+        break;
+    }
+  });
 }
 
 void advance_runs_serial(Species& sp, const InterpolatorArray& interp,
                          TileAccumulator& acc, const Grid& g,
                          VectorStrategy strategy, const MoverOptions& opts,
-                         const std::vector<sort::CellRun>& runs,
-                         std::size_t r0, std::size_t r1) {
-  advance_runs_serial_impl(sp, interp, acc, g, strategy, opts, runs, r0, r1);
+                         const std::vector<sort::CellRun>& runs) {
+  if (strategy == VectorStrategy::AdHoc)
+    throw std::invalid_argument(
+        "advance_runs_serial: AdHoc has no run-aware variant");
+  const PushConsts c = make_consts(sp, g);
+  dispatch_layout(sp.p, [&](auto a) {
+    for (const sort::CellRun& run : runs) {
+      switch (strategy) {
+        case VectorStrategy::Auto:
+          run_body_auto(a, run, interp, acc, g, opts, c);
+          break;
+        case VectorStrategy::Guided:
+          run_body_guided(a, run, interp, acc, g, opts, c);
+          break;
+        case VectorStrategy::Manual:
+          run_body_manual(a, run, interp, acc, g, opts, c);
+          break;
+        case VectorStrategy::AdHoc:
+          break;  // unreachable: thrown above
+      }
+    }
+  });
 }
 
 bool run_aware_profitable_range(const Species& sp, index_t n0, index_t n1,

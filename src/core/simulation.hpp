@@ -55,18 +55,18 @@ double push_cost_per_particle(core::ParticleLayout layout);
 
 namespace vpic::core {
 
-/// How Simulation::step() is executed (docs/ASYNC.md). When
+/// How the untiled Simulation::step() is executed (docs/ASYNC.md). When
 /// SimulationConfig::tiles.enabled is set the tiled path
 /// (docs/TILES.md) supersedes this knob.
-///   Graph      — the step is built as a validated StepGraph and run over
-///                asynchronous execution instances; independent phases
-///                (interpolator load vs accumulator clear, per-species
-///                sorts) overlap. Bit-identical to Sequential by
-///                construction: every conflicting phase pair is ordered
+///   Graph      — the step is built as a validated StepGraph and run on the
+///                simulation's persistent work-stealing pool; independent
+///                phases (interpolator load vs accumulator clear,
+///                per-species sorts) overlap. Bit-identical to Sequential
+///                by construction: every conflicting phase pair is ordered
 ///                to match the serial sequence.
-///   Sequential — the legacy straight-line phase sequence, kept as the
-///                reference schedule the equivalence tests compare
-///                against.
+///   Sequential — the same graph unrolled on the calling thread in the
+///                legacy phase order, kept as the reference schedule the
+///                equivalence tests compare against.
 enum class StepScheduler : std::uint8_t { Graph, Sequential };
 
 inline const char* to_string(StepScheduler s) noexcept {
@@ -79,40 +79,14 @@ inline const char* to_string(StepScheduler s) noexcept {
   return "?";
 }
 
-/// How the tiled step executes its (phase x tile) task graph
-/// (docs/TILES.md).
-///   Deterministic — every task runs on the calling thread in the serial
-///                   reference order with deposits into the global
-///                   accumulator: bit-identical to the untiled
-///                   Sequential step (for the per-particle-independent
-///                   Auto/Guided strategies).
-///   Stealing      — tasks run on the work-stealing pool with deposits
-///                   into tile-private accumulator blocks merged in
-///                   fixed tile order: bit-deterministic run-to-run and
-///                   across worker counts, but not bit-identical to the
-///                   sequential order (different float-add grouping).
-enum class TileExec : std::uint8_t { Deterministic, Stealing };
-
-inline const char* to_string(TileExec e) noexcept {
-  switch (e) {
-    case TileExec::Deterministic:
-      return "deterministic";
-    case TileExec::Stealing:
-      return "stealing";
-  }
-  return "?";
-}
-
-/// Tile decomposition of the step (docs/TILES.md). Excluded from
-/// config_fingerprint(): tiling changes scheduling and memory grouping,
-/// not physics, so checkpoints move freely between tiled and untiled
-/// runs.
+/// Tile decomposition of the step (docs/TILES.md). The tiled step runs on
+/// the same pool as the Graph scheduler (SimulationConfig::graph_instances
+/// workers). Excluded from config_fingerprint(): tiling changes scheduling
+/// and memory grouping, not physics, so checkpoints move freely between
+/// tiled and untiled runs.
 struct TileConfig {
   bool enabled = false;
   int count = 0;  // z-slab tiles; 0 = auto (4 x workers, clamped to nz)
-  TileExec exec = TileExec::Deterministic;
-  int workers = 2;             // stealing-pool threads (Stealing mode)
-  std::uint64_t steal_seed = 0x9e3779b97f4a7c15ull;  // victim RNG streams
 };
 
 struct SimulationConfig {
@@ -136,8 +110,8 @@ struct SimulationConfig {
   // Step execution: dependency-graph scheduler by default; Sequential is
   // the legacy reference order (docs/ASYNC.md).
   StepScheduler scheduler = StepScheduler::Graph;
-  // Concurrent phase limit (pk::Instance pool size) for the Graph
-  // scheduler.
+  // Worker count of the persistent step pool that runs the Graph
+  // scheduler and the tiled step (docs/ASYNC.md).
   std::size_t graph_instances = 2;
   // Periodic checkpointing (docs/CHECKPOINT.md), off by default: every
   // `checkpoint_every` steps write a generation "<checkpoint_path>.g<N>"
@@ -163,7 +137,7 @@ struct SimulationConfig {
   // (docs/MODULES.md, "Tracers").
   std::string tracer_csv_path;
   // Tile-level task decomposition (docs/TILES.md). When enabled, step()
-  // takes the tiled path regardless of `scheduler`.
+  // takes the tiled path on the step pool regardless of `scheduler`.
   TileConfig tiles;
 };
 
@@ -189,7 +163,7 @@ struct TileStepStats {
   int tiles = 0;                    // tile count of the map
   double imbalance = 1.0;           // max/mean particles per tile (worst
                                     // species) at the last bucketing
-  pk::StealStats steal;             // zeroed in Deterministic mode
+  pk::StealStats steal;             // steal counters of the step's round
   std::size_t concurrency_peak = 0; // phases in flight at once
 };
 
@@ -311,14 +285,14 @@ class Simulation {
     return energy_history_;
   }
 
-  /// Per-phase timings/placements of the most recent Graph-scheduled
-  /// step; empty under the Sequential scheduler.
+  /// Per-phase timings/placements of the most recent step, whatever its
+  /// shape (Sequential, Graph or tiled).
   [[nodiscard]] const std::vector<PhaseStats>& last_phase_stats() const {
     return last_phase_stats_;
   }
 
   /// Peak number of phases in flight simultaneously during the most
-  /// recent Graph-scheduled step (>= 2 shows real overlap happened).
+  /// recent step (>= 2 shows real overlap happened; 1 under Sequential).
   [[nodiscard]] std::size_t last_concurrency_peak() const {
     return last_concurrency_peak_;
   }
@@ -338,7 +312,7 @@ class Simulation {
   }
 
   /// Tile-granular poll hook: invoked at every phase boundary of the
-  /// tiled step (both executors), on the stepping thread. The farm wires
+  /// tiled step, on the pool worker running the phase. The farm wires
   /// its preemption check here so a yield request is *observed* within
   /// one tile task instead of one whole step; the step still completes —
   /// a checkpointable boundary — before run_until() actually yields
@@ -439,14 +413,16 @@ class Simulation {
   // use the public accessors instead.
   friend struct PipelineAccess;
 
-  void step_untiled();
-  void step_tiled();
+  /// The persistent step pool, (re)built when graph_instances changes.
+  pk::StealPool& step_pool();
   /// (Re)build the tile map, bucket every species by tile, and size the
-  /// per-(species, tile) accumulator blocks + stealing pool. Idempotent
-  /// while clean; restore()/injection growth set tiles_dirty_.
+  /// per-(species, tile) accumulator blocks. Idempotent while clean;
+  /// restore()/injection growth set tiles_dirty_.
   void ensure_tiles();
-  [[nodiscard]] StepGraph build_step_graph(std::int64_t next_step);
-  [[nodiscard]] StepGraph build_tiled_step_graph(std::int64_t next_step);
+  /// Tile telemetry + re-bucket check after a tiled step.
+  void finish_tiled_step(const pk::StealStats& steal);
+  [[nodiscard]] StepGraph build_step_graph(std::int64_t next_step,
+                                           bool tiled);
   /// Write the next ring generation per the config (sync or async).
   void checkpoint_to_ring();
   [[nodiscard]] bool checkpoint_due(std::int64_t at_step) const {
@@ -468,25 +444,19 @@ class Simulation {
   double sort_seconds_ = 0;
   std::vector<PhaseStats> last_phase_stats_;
   std::size_t last_concurrency_peak_ = 0;
+  // The one concurrent executor of the step (Graph scheduler and tiled
+  // step), built on first use; heap-owned because the pool is
+  // non-movable and Simulation must stay movable.
+  std::unique_ptr<pk::StealPool> step_pool_;
   // ---- tile decomposition state (docs/TILES.md) ----------------------
   TileMap tile_map_;
   // Tile-private deposit blocks, [species][tile] — each owned exclusively
-  // by its (species, tile) push task. Only built in Stealing mode;
-  // Deterministic mode deposits straight into acc_.
+  // by its (species, tile) push task.
   std::vector<std::vector<TileAccumulator>> tile_acc_;
-  std::unique_ptr<pk::StealPool> steal_pool_;  // pool is non-movable
   bool tiles_dirty_ = true;
   TileStepStats tile_stats_;
   std::function<void()> phase_poll_;
-  // Per-species push plan of the Deterministic tiled step: the GLOBAL
-  // dispatch decision + global run partition, so the per-tile serial
-  // pushes reproduce the untiled kernels' flush grouping bit for bit.
-  struct TilePushPlan {
-    bool use_runs = false;
-    std::vector<std::size_t> run_lo;  // run_lo[t]..run_lo[t+1] of push_runs
-  };
-  std::vector<TilePushPlan> tile_push_plans_;
-  // Stealing-mode "any tile took the run-aware path" bits (one atomic per
+  // "Any tile took the run-aware path" bits (one atomic per
   // species), reset by the push module's plan() each tiled step and read
   // after execution to resolve last_push_paths_. Heap-shared because the
   // phase closures outlive neither but Simulation must stay movable.

@@ -13,14 +13,16 @@
 //     an undeclared race is a construction-time std::logic_error, not a
 //     nondeterministic result.
 //
-// execute() then runs the graph over a pool of asynchronous execution
-// instances (pk/instance.hpp): whenever two phases are unordered they may
-// run concurrently on different instances. Because every conflicting pair
-// is ordered — and ordered edges are inserted to match the legacy serial
+// execute() then runs the graph on a persistent work-stealing pool
+// (pk/stealing.hpp): whenever two phases are unordered they may run
+// concurrently on different workers. Because every conflicting pair is
+// ordered — and ordered edges are inserted to match the legacy serial
 // sequence — a graph-scheduled step is bit-identical to the sequential
 // one (tests/test_step_graph.cpp proves this on the LPI deck); the graph
 // only exposes concurrency that cannot change results (e.g. the
 // interpolator load against the accumulator clear, or per-species sorts).
+// execute_serial() unrolls the same graph on the calling thread and is
+// the reference schedule.
 //
 // This is the shape the task-based PIC ports take (ZPIC on OmpSs-2
 // expresses the step loop as data-dependent tasks) and the enabling layer
@@ -41,7 +43,7 @@ namespace vpic::core {
 /// One schedulable unit of a step. `reads`/`writes` name abstract
 /// resources (any strings; conventionally "fields.eb", "fields.j",
 /// "interp", "acc", "particles.<species>"). The body runs exactly once
-/// per execute(), on an arbitrary execution instance.
+/// per execute(), on an arbitrary pool worker.
 struct StepPhase {
   std::string name;                 // unique, non-empty
   std::vector<std::string> reads;
@@ -49,7 +51,7 @@ struct StepPhase {
   std::function<void()> fn;
   // Relative expected wall time, in any consistent unit (the tiled step
   // seeds it from tune-probed ns/particle * tile population). Only the
-  // stealing executor reads it, for LPT initial placement.
+  // pool executor reads it, for LPT initial placement.
   double cost = 1.0;
 };
 
@@ -57,7 +59,7 @@ struct StepPhase {
 struct PhaseStats {
   std::string name;
   double seconds = 0;          // wall time of the phase body
-  std::uint32_t instance_id = 0;  // pk instance that ran it
+  std::uint32_t instance_id = 0;  // pool worker that ran it
 };
 
 class StepGraph {
@@ -77,16 +79,10 @@ class StepGraph {
   /// execute() calls it if it has not run since the last mutation.
   void validate() const;
 
-  /// Run all phases respecting the edges, up to `num_instances` phases
-  /// concurrently on separate pk::Instance queues. Rethrows the first
-  /// phase exception after quiescing (remaining phases are not started).
-  void execute(std::size_t num_instances = 2);
-
   /// Run all phases on the CALLING thread, in phase insertion order
-  /// (which by construction is the legacy serial sequence). This is the
-  /// bit-identical deterministic mode of the tiled step: no pool, no
-  /// scheduler, no concurrency — just the validated graph unrolled.
-  /// Still validates and records PhaseStats (instance_id = 0).
+  /// (which by construction is the legacy serial sequence): the
+  /// Sequential reference schedule — no pool, no concurrency, just the
+  /// validated graph unrolled. Records PhaseStats (instance_id = 0).
   void execute_serial();
 
   /// Run all phases on a work-stealing pool (pk/stealing.hpp). Initially
@@ -97,7 +93,7 @@ class StepGraph {
   /// round's steal stats (also retrievable from pool.last_stats()).
   /// After a phase throws, successors are not started; the first
   /// exception is rethrown once in-flight work drains.
-  pk::StealStats execute_stealing(pk::StealPool& pool);
+  pk::StealStats execute(pk::StealPool& pool);
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
 

@@ -88,8 +88,8 @@ void bucket_by_tile(Species& sp, const TileMap& tm) {
       slot.begin = pos;
       if (t == home) pos += n;
       slot.end = pos;
-      slot.sorted_hint = false;
-      slot.steps_since_sort = -1;
+      slot.sorted_hint = sp.cell_sorted_hint;
+      slot.steps_since_sort = sp.steps_since_sort;
     }
     return;
   }
@@ -105,7 +105,10 @@ void bucket_by_tile(Species& sp, const TileMap& tm) {
 
   // Serial stable counting sort over tile ids (bound = tile count); the
   // exclusive-scan offsets ARE the tile ranges, captured before the
-  // scatter consumes them.
+  // scatter consumes them. Stability keeps every tile's particles in
+  // their relative order, so each tile inherits the species' sortedness
+  // (bucketing a cell-sorted array is the identity): a re-bucket after
+  // restore() dispatches the push like the run it resumes.
   const index_t bound = static_cast<index_t>(nt);
   index_t* offsets =
       ws.reserve_histogram(sort::detail::counting_hist_cells(1, bound));
@@ -114,8 +117,8 @@ void bucket_by_tile(Species& sp, const TileMap& tm) {
     TileSlot& slot = sp.tiles[static_cast<std::size_t>(t)];
     slot.begin = offsets[t];
     slot.end = t + 1 < nt ? offsets[t + 1] : n;
-    slot.sorted_hint = false;
-    slot.steps_since_sort = -1;
+    slot.sorted_hint = sp.cell_sorted_hint;
+    slot.steps_since_sort = sp.steps_since_sort;
   }
   index_t* const perm = ws.perm.data();
   sort::detail::counting_scatter_index(tkeys, n, bound, offsets, 1, perm);

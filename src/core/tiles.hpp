@@ -8,7 +8,7 @@
 // untiled stable voxel sort bit for bit.
 //
 // Tiles exist to turn each (phase x tile) pair into a StepGraph task for
-// the work-stealing executor (pk/stealing.hpp):
+// the step pool (pk/stealing.hpp):
 //   * each tile owns a contiguous particle index range of every species
 //     (re-established by bucket_by_tile at sort steps),
 //   * each tile pushes serially inside its task and deposits into a
@@ -20,10 +20,6 @@
 //     ascending tile order by a single task, making the summed currents
 //     bit-deterministic across runs AND worker counts (the merge order is
 //     fixed; float addition order never depends on scheduling).
-//
-// The deterministic sequential mode bypasses the private blocks entirely
-// and deposits straight into the global array in tile order — which is
-// exactly the untiled particle order, hence bit-identical physics.
 #pragma once
 
 #include <map>
@@ -121,7 +117,7 @@ class TileAccumulator {
 /// [begin, end) index range in sp.tiles. Because tile ids are monotone in
 /// the voxel index, bucketing a cell-sorted array is the identity
 /// permutation, and bucket + per-tile voxel sorts == the untiled stable
-/// voxel sort. Per-tile sortedness is reset to "bucketed, not sorted".
+/// voxel sort. Each tile inherits the species' sortedness hint.
 void bucket_by_tile(Species& sp, const TileMap& tm);
 
 /// Serial stable counting sort by voxel of tile t's range, gathering into

@@ -82,7 +82,8 @@ struct Scheduler::Job {
   bool has_ckpt = false;  // the ring holds at least one generation
   // Elastic rescale overrides (docs/ELASTIC.md), guarded by mu_; 0 means
   // "deck default". Snapshotted by the owning worker before the slice and
-  // applied to the freshly built engine's TileConfig ahead of restore.
+  // applied to the freshly built engine's tile config and step-pool width
+  // (graph_instances) ahead of restore.
   int workers_override = 0;
   int tiles_override = 0;
   std::int64_t rescales = 0;
@@ -228,14 +229,14 @@ SliceOutcome Scheduler::run_slice(Job& j, bool restore_from_ring,
     if (!j.sim) {
       j.sim.emplace(j.spec.make());
       // Elastic rescale: the override reshapes the fresh engine before the
-      // restore. Legal because TileConfig is excluded from the checkpoint
-      // fingerprint — the parked state is shape-agnostic (docs/ELASTIC.md).
+      // restore. Legal because the tile config and pool width are excluded
+      // from the checkpoint fingerprint — the parked state is
+      // shape-agnostic (docs/ELASTIC.md).
       if (workers > 0) {
-        auto& t = j.sim->config().tiles;
-        t.enabled = true;
-        t.exec = core::TileExec::Stealing;
-        t.workers = workers;
-        if (tiles > 0) t.count = tiles;
+        auto& cfg = j.sim->config();
+        cfg.tiles.enabled = true;
+        cfg.graph_instances = static_cast<std::size_t>(workers);
+        if (tiles > 0) cfg.tiles.count = tiles;
         prof::counter_add("farm.rescale_applied");
       }
       if (restore_from_ring) {

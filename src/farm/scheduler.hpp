@@ -92,9 +92,10 @@ class Scheduler {
   /// Re-prioritize; may trigger a preemption of a lower-priority runner.
   bool set_priority(const std::string& name, int priority);
   /// Elastic rescale (docs/ELASTIC.md): the next time the job's engine is
-  /// rebuilt it runs with `workers` stealing-pool threads and, when
-  /// `tiles` > 0, that many z-slab tiles (TileConfig — excluded from the
-  /// checkpoint fingerprint, so the parked state restores unchanged). A
+  /// rebuilt it runs tiled on `workers` step-pool threads
+  /// (graph_instances) and, when `tiles` > 0, that many z-slab tiles (both
+  /// excluded from the checkpoint fingerprint, so the parked state
+  /// restores unchanged). A
   /// running job is preempted so the new shape takes effect promptly; a
   /// resident queued job is parked. The override persists across further
   /// preemptions until the next rescale. `workers` < 1 or an unknown /

@@ -8,17 +8,18 @@
 // are picked by a per-worker xorshift RNG so no two thieves convoy on the
 // same queue.
 //
-// The pool is built for core::StepGraph's tiled step: tasks are seeded
-// onto specific deques by a cost model (tune-probed ns/particle * tile
-// population) so the *expected* load starts balanced, and stealing only
-// pays for the residual imbalance the model missed. Tasks may spawn
+// The pool is core::StepGraph's concurrent executor (the Graph-scheduled
+// and tiled steps): tasks are seeded onto specific deques by a cost model
+// (tune-probed ns/particle * tile population) so the *expected* load
+// starts balanced, and stealing only pays for the residual imbalance the
+// model missed. Tasks may spawn
 // further tasks from inside a task (dependency-graph continuations); a
 // run() round terminates when every spawned task has finished.
 //
 // Determinism note: the pool never promises an execution *order* — tiled
 // physics stays bit-deterministic because deposits go to tile-private
 // accumulator blocks merged in fixed tile order, not because of anything
-// the scheduler does. The bit-identical sequential mode bypasses this
+// the scheduler does. The Sequential reference schedule bypasses this
 // pool entirely (StepGraph::execute_serial).
 //
 // Counters (fired from run(), on the caller's thread, so a farm job's

@@ -1,7 +1,7 @@
 // Tests for the Takizuka–Abe collision module (core/collide.hpp):
 // conservation laws and Maxwellianization of the collide_range operator
 // (driven directly, no field dynamics), bit-determinism across particle
-// layouts and stealing worker counts, and checkpoint round-trips of a
+// layouts and step-pool worker counts, and checkpoint round-trips of a
 // collision-enabled run — including the module's counters — across
 // layouts.
 #include <gtest/gtest.h>
@@ -269,11 +269,10 @@ TEST(CollisionModule, ChangesDynamicsAndCountsPairs) {
 TEST(CollisionModule, BitDeterministicAcrossWorkerCounts) {
   std::vector<core::Particle> ref_e, ref_i;
   double ref_field = 0;
-  for (const int workers : {1, 2, 4, 8}) {
+  for (const std::size_t workers : {1, 2, 4, 8}) {
     auto sim = make_colliding_lpi();
     sim.config().tiles.enabled = true;
-    sim.config().tiles.exec = core::TileExec::Stealing;
-    sim.config().tiles.workers = workers;
+    sim.config().graph_instances = workers;
     sim.config().tiles.count = 4;  // fixed: the tile cut is part of the key
     sim.run(30);
     const auto e = canon(sim.species(0));

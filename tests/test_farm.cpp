@@ -601,8 +601,7 @@ TEST(FarmProf, TiledStealingJobExportsStealCountersInStatusPayload) {
     auto sim = make_lpi_small(7);
     sim.config().tiles.enabled = true;
     sim.config().tiles.count = 2;
-    sim.config().tiles.exec = core::TileExec::Stealing;
-    sim.config().tiles.workers = 2;
+    sim.config().graph_instances = 2;
     return sim;
   };
   spec.total_steps = 12;

@@ -178,36 +178,27 @@ TEST(ModuleStep, SequentialAndGraphBitIdentical100Steps) {
 }
 
 TEST(ModuleStep, TiledShapesBitIdentical100Steps) {
-  auto ref = make_lpi_small();
-  ref.config().scheduler = core::StepScheduler::Sequential;
-
-  auto det = make_lpi_small();
-  det.config().tiles.enabled = true;
-  det.config().tiles.exec = core::TileExec::Deterministic;
-
-  auto steal2 = make_lpi_small();
-  steal2.config().tiles.enabled = true;
-  steal2.config().tiles.exec = core::TileExec::Stealing;
-  steal2.config().tiles.workers = 2;
-
-  auto steal4 = make_lpi_small();
-  steal4.config().tiles.enabled = true;
-  steal4.config().tiles.exec = core::TileExec::Stealing;
-  steal4.config().tiles.workers = 4;
-
+  // The tiled step is bit-deterministic across pool widths at a fixed
+  // tile count.
+  auto tiled = [](std::size_t workers) {
+    auto sim = make_lpi_small();
+    sim.config().tiles.enabled = true;
+    sim.config().tiles.count = 4;
+    sim.config().graph_instances = workers;
+    return sim;
+  };
+  auto w1 = tiled(1);
+  auto w2 = tiled(2);
+  auto w4 = tiled(4);
   for (int i = 0; i < 100; ++i) {
-    ref.step();
-    det.step();
-    steal2.step();
-    steal4.step();
+    w1.step();
+    w2.step();
+    w4.step();
   }
-  // Deterministic tiling is the untiled reference order re-cut into tile
-  // tasks: bit-identical to Sequential. Stealing is bit-deterministic
-  // across worker counts.
-  EXPECT_TRUE(same_particles(ref, det));
-  EXPECT_TRUE(same_particles(steal2, steal4));
-  EXPECT_EQ(det.energies().field, ref.energies().field);
-  EXPECT_EQ(steal2.energies().field, steal4.energies().field);
+  EXPECT_TRUE(same_particles(w1, w2));
+  EXPECT_TRUE(same_particles(w1, w4));
+  EXPECT_EQ(w1.energies().field, w2.energies().field);
+  EXPECT_EQ(w1.energies().field, w4.energies().field);
 }
 
 // ----------------------------------------------------------------------
@@ -265,38 +256,39 @@ TEST(TracerModule, BitIdenticalAcrossExecutionShapes) {
   auto graph = make_lpi_small();
   auto& t_graph = graph.add_module<core::TracerModule>(tp);
 
-  auto det = make_lpi_small();
-  det.config().tiles.enabled = true;
-  auto& t_det = det.add_module<core::TracerModule>(tp);
-
-  auto steal2 = make_lpi_small();
-  steal2.config().tiles.enabled = true;
-  steal2.config().tiles.exec = core::TileExec::Stealing;
-  steal2.config().tiles.workers = 2;
-  auto& t_steal2 = steal2.add_module<core::TracerModule>(tp);
-
-  auto steal4 = make_lpi_small();
-  steal4.config().tiles.enabled = true;
-  steal4.config().tiles.exec = core::TileExec::Stealing;
-  steal4.config().tiles.workers = 4;
-  auto& t_steal4 = steal4.add_module<core::TracerModule>(tp);
+  auto tiled = [&tp](std::size_t workers) {
+    auto sim = make_lpi_small();
+    sim.config().tiles.enabled = true;
+    sim.config().tiles.count = 4;
+    sim.config().graph_instances = workers;
+    sim.add_module<core::TracerModule>(tp);
+    return sim;
+  };
+  auto w1 = tiled(1);
+  auto w2 = tiled(2);
+  auto w4 = tiled(4);
+  auto tracer_of = [](core::Simulation& sim) -> const core::TracerModule& {
+    return *static_cast<core::TracerModule*>(sim.find_module("tracer"));
+  };
 
   for (int i = 0; i < 40; ++i) {
     seq.step();
     graph.step();
-    det.step();
-    steal2.step();
-    steal4.step();
+    w1.step();
+    w2.step();
+    w4.step();
   }
-  // Sequential, Graph, and Deterministic tiling run the same float
-  // stream; Stealing's block-merged deposits differ in the last ulp from
-  // the untiled step, so its guarantee is determinism across worker
-  // counts, not cross-shape identity (docs/TILES.md).
+  // Sequential and Graph run the same float stream; the tiled step's
+  // block-merged deposits differ in the last ulp from the untiled step,
+  // so its guarantee is determinism across worker counts, not
+  // cross-shape identity (docs/TILES.md).
   const auto ref = tracer_bytes(t_seq);
   EXPECT_FALSE(ref.empty());
   EXPECT_EQ(ref, tracer_bytes(t_graph));
-  EXPECT_EQ(ref, tracer_bytes(t_det));
-  EXPECT_EQ(tracer_bytes(t_steal2), tracer_bytes(t_steal4));
+  const auto tiled_ref = tracer_bytes(tracer_of(w1));
+  EXPECT_FALSE(tiled_ref.empty());
+  EXPECT_EQ(tiled_ref, tracer_bytes(tracer_of(w2)));
+  EXPECT_EQ(tiled_ref, tracer_bytes(tracer_of(w4)));
   // The plasma itself is untouched by passive tracers.
   EXPECT_TRUE(same_particles(seq, graph));
 }

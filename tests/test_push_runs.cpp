@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <vector>
@@ -20,6 +21,18 @@ namespace vs = vpic::sort;
 using pk::index_t;
 
 namespace {
+
+// The dispatch tests assert decisions of the built-in gates (e.g. that
+// 864 particles clear the minimum population). A host-tuned cache may
+// legally set other gates, and suites running in parallel rewrite the
+// shared .vpic_tune.json from probes taken under load, so pin the tuner
+// off like the other engine suites do.
+class TuneOffEnv : public ::testing::Environment {
+ public:
+  void SetUp() override { setenv("VPIC_TUNE", "off", 1); }
+};
+[[maybe_unused]] const auto* const env =
+    ::testing::AddGlobalTestEnvironment(new TuneOffEnv);
 
 std::vector<vs::CellRun> runs_of(const std::vector<std::uint32_t>& keys) {
   std::vector<vs::CellRun> out;

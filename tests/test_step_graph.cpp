@@ -1,9 +1,10 @@
 // Tests for the dependency-aware step graph (core/step_graph.hpp) and its
 // integration as the default Simulation scheduler (docs/ASYNC.md):
 // construction-time validation (cycles, undeclared races), execution
-// semantics (once, ordered, concurrent when unordered, exception
-// propagation), and the headline equivalence guarantee — a graph-scheduled
-// step is bit-identical to the legacy sequential schedule on the LPI deck.
+// semantics on the work-stealing pool (once, ordered, concurrent when
+// unordered, exception propagation), the headline equivalence guarantee —
+// a graph-scheduled step is bit-identical to the legacy sequential
+// schedule on the LPI deck — and reuse of one persistent step pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include "core/simulation.hpp"
 #include "core/step_graph.hpp"
 #include "pk/pk.hpp"
+#include "pk/stealing.hpp"
 
 namespace core = vpic::core;
 namespace pk = vpic::pk;
@@ -29,7 +31,7 @@ class PkEnv : public ::testing::Environment {
   // One kernel thread: with >1 OpenMP threads the float-atomic current
   // deposits are nondeterministic *within* a kernel (even two sequential
   // runs diverge), which would mask what this suite is about — that the
-  // graph *scheduler* never reorders conflicting phases. Instance worker
+  // graph *scheduler* never reorders conflicting phases. StealPool worker
   // threads (what the graph schedules onto) are independent of this
   // setting, so the concurrency tests still exercise real parallelism.
   // The tune cache is pinned off: a stale .vpic_tune.json can flip
@@ -154,7 +156,7 @@ TEST(StepGraphValidate, DotNamesAllPhases) {
 }
 
 // ----------------------------------------------------------------------
-// Execution semantics.
+// Execution semantics on the work-stealing pool.
 // ----------------------------------------------------------------------
 
 TEST(StepGraphExecute, RunsEveryPhaseOnceRespectingEdges) {
@@ -172,7 +174,8 @@ TEST(StepGraphExecute, RunsEveryPhaseOnceRespectingEdges) {
   g.add_phase(phase("c", {"y"}, {}, track("c")));
   g.add_edge("a", "b");
   g.add_edge("b", "c");
-  g.execute(2);
+  pk::StealPool pool(2);
+  g.execute(pool);
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], "a");
   EXPECT_EQ(order[1], "b");
@@ -198,12 +201,13 @@ TEST(StepGraphExecute, UnorderedPhasesRunConcurrently) {
   };
   g.add_phase(phase("left", {"interp"}, {}, body));
   g.add_phase(phase("right", {"interp"}, {}, body));
-  g.execute(2);
+  pk::StealPool pool(2);
+  g.execute(pool);
   EXPECT_EQ(peak.load(), 2) << "independent phases did not overlap";
   EXPECT_GE(g.last_concurrency_peak(), 2u);
 }
 
-TEST(StepGraphExecute, SingleInstanceDegradesToSequential) {
+TEST(StepGraphExecute, SingleWorkerDegradesToSequential) {
   core::StepGraph g;
   std::atomic<int> active{0}, peak{0};
   auto body = [&] {
@@ -216,7 +220,8 @@ TEST(StepGraphExecute, SingleInstanceDegradesToSequential) {
   };
   g.add_phase(phase("left", {}, {}, body));
   g.add_phase(phase("right", {}, {}, body));
-  g.execute(1);
+  pk::StealPool pool(1);
+  g.execute(pool);
   EXPECT_EQ(peak.load(), 1);
   EXPECT_EQ(g.last_concurrency_peak(), 1u);
 }
@@ -229,7 +234,8 @@ TEST(StepGraphExecute, PhaseExceptionRethrownSuccessorsSkipped) {
   g.add_phase(phase("after", {"x"}, {},
                     [&] { ran_successor.store(true); }));
   g.add_edge("boom", "after");
-  EXPECT_THROW(g.execute(2), std::runtime_error);
+  pk::StealPool pool(2);
+  EXPECT_THROW(g.execute(pool), std::runtime_error);
   EXPECT_FALSE(ran_successor.load());
 }
 
@@ -237,15 +243,15 @@ TEST(StepGraphExecute, ReExecuteRunsAgain) {
   core::StepGraph g;
   std::atomic<int> runs{0};
   g.add_phase(phase("a", {}, {}, [&] { runs.fetch_add(1); }));
-  g.execute(2);
-  g.execute(2);
+  pk::StealPool pool(2);
+  g.execute(pool);
+  g.execute(pool);
   EXPECT_EQ(runs.load(), 2);
 }
 
 TEST(StepGraphExecute, StressManyUnorderedPhases) {
   // TSan target: a wide graph of independent phases over a pool of
-  // instances, all bumping one atomic and disjoint slots of a shared
-  // vector.
+  // workers, all bumping one atomic and disjoint slots of a shared vector.
   constexpr int kPhases = 24;
   core::StepGraph g;
   std::vector<int> slots(kPhases, 0);
@@ -257,7 +263,8 @@ TEST(StepGraphExecute, StressManyUnorderedPhases) {
                         total.fetch_add(1, std::memory_order_relaxed);
                       }));
   }
-  g.execute(4);
+  pk::StealPool pool(4);
+  g.execute(pool);
   EXPECT_EQ(total.load(), kPhases);
   for (int v : slots) EXPECT_EQ(v, 1);
   EXPECT_GE(g.last_concurrency_peak(), 1u);
@@ -369,7 +376,7 @@ TEST(StepGraphSimulation, GraphSchedulerPopulatesPhaseStats) {
   EXPECT_GE(sim.last_concurrency_peak(), 1u);
 }
 
-TEST(StepGraphSimulation, SequentialSchedulerLeavesStatsEmpty) {
+TEST(StepGraphSimulation, SequentialSchedulerPopulatesPhaseStats) {
   core::decks::LpiParams p;
   p.nx = 8;
   p.ny = 4;
@@ -378,5 +385,35 @@ TEST(StepGraphSimulation, SequentialSchedulerLeavesStatsEmpty) {
   core::Simulation sim = core::decks::make_lpi(p);
   sim.config().scheduler = core::StepScheduler::Sequential;
   sim.step();
-  EXPECT_TRUE(sim.last_phase_stats().empty());
+  const auto& st = sim.last_phase_stats();
+  ASSERT_FALSE(st.empty());
+  bool saw_interpolate = false, saw_field_advance = false, saw_push = false;
+  for (const auto& s : st) {
+    if (s.name == "interpolate") saw_interpolate = true;
+    if (s.name == "field_advance") saw_field_advance = true;
+    if (s.name.rfind("push[", 0) == 0) saw_push = true;
+    EXPECT_GE(s.seconds, 0.0);
+    EXPECT_EQ(s.instance_id, 0u);  // all on the stepping thread
+  }
+  EXPECT_TRUE(saw_interpolate);
+  EXPECT_TRUE(saw_field_advance);
+  EXPECT_TRUE(saw_push);
+  EXPECT_EQ(sim.last_concurrency_peak(), 1u);
+}
+
+TEST(StepGraphSimulation, GraphStepsReuseOnePersistentPool) {
+  // Instance ids are handed out sequentially, so the ids consumed between
+  // `a` and `b` count every pk::Instance created while stepping: the step
+  // pool's workers once, not a fresh pool per step.
+  core::decks::LpiParams p;
+  p.nx = 8;
+  p.ny = 4;
+  p.nz = 4;
+  p.ppc = 2;
+  core::Simulation sim = core::decks::make_lpi(p);
+  ASSERT_EQ(sim.config().scheduler, core::StepScheduler::Graph);
+  pk::Instance<> a;
+  for (int i = 0; i < 20; ++i) sim.step();
+  pk::Instance<> b;
+  EXPECT_LE(b.id() - a.id() - 1, sim.config().graph_instances);
 }
