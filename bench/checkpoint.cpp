@@ -111,7 +111,7 @@ ModeResult run_mode(const Params& p, const std::string& mode) {
       });
   out.checkpoints = sim->checkpoints_written();
   out.stats = sim->elastic_ckpt_stats();
-  ckpt::GenerationRing ring((dir / "ck").string(), 3);
+  ckpt::GenerationRing ring((dir / "ck").string());
   for (std::uint64_t g : ring.generations())
     out.file_bytes = fs::file_size(ring.path_for(g));
   fs::remove_all(dir);

@@ -124,9 +124,7 @@ int main(int argc, char** argv) {
 
   if (mode == "roundtrip") {
     // Drop generations left by a previous invocation of the same base.
-    ckpt::GenerationRing stale(base, 1);
-    for (std::uint64_t g : stale.generations())
-      std::remove(stale.path_for(g).c_str());
+    ckpt::GenerationRing(base).purge();
 
     // Reference: total_steps uninterrupted.
     auto ref = make_deck();

@@ -5,7 +5,7 @@
 //   * format.hpp     — on-disk layout, typed RestoreError, Fingerprint
 //   * serialize.hpp  — ckpt::encode_view / ckpt::decode_view over pk::View
 //   * file.hpp       — FileWriter (rename-commit) / FileReader (validated)
-//   * ring.hpp       — generation ring with keep_last pruning + fallback
+//   * ring.hpp       — generation ring naming, discovery and purge
 //   * fault.hpp      — FaultInjector for the corruption-mode tests
 //
 // The Simulation/DistributedSimulation integration (full-state

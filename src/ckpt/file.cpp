@@ -137,27 +137,23 @@ std::uint64_t FileWriter::commit(const std::string& path,
 
 FileReader::FileReader(const std::string& path) : path_(path) {
   prof::ScopedRegion r("ckpt_open");
+  prof::counter_add("ckpt.files_opened");
 
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f)
+  file_.reset(std::fopen(path.c_str(), "rb"));
+  if (!file_)
     throw RestoreError(RestoreErrorKind::IoError,
                        "cannot open '" + path + "'");
-  std::fseek(f, 0, SEEK_END);
-  const long sz = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  data_.resize(sz > 0 ? static_cast<std::size_t>(sz) : 0);
-  const std::size_t got =
-      data_.empty() ? 0 : std::fread(data_.data(), 1, data_.size(), f);
-  std::fclose(f);
-  if (got != data_.size())
+  std::error_code ec;
+  const std::uint64_t file_bytes = fs::file_size(path, ec);
+  if (ec)
     throw RestoreError(RestoreErrorKind::IoError,
-                       "short read from '" + path + "'");
+                       "cannot stat '" + path + "': " + ec.message());
 
-  if (data_.size() < sizeof(FileHeader))
+  if (file_bytes < sizeof(FileHeader))
     throw RestoreError(RestoreErrorKind::Truncated,
                        "'" + path + "' is smaller than a header (" +
-                           std::to_string(data_.size()) + " bytes)");
-  std::memcpy(&header_, data_.data(), sizeof(FileHeader));
+                           std::to_string(file_bytes) + " bytes)");
+  read_at(0, &header_, sizeof(FileHeader));
 
   if (header_.magic != kMagic)
     throw RestoreError(RestoreErrorKind::BadMagic,
@@ -170,11 +166,10 @@ FileReader::FileReader(const std::string& path) : path_(path) {
                        "'" + path + "' has format version " +
                            std::to_string(header_.version) + ", expected " +
                            std::to_string(kFormatVersion));
-  if (header_.total_bytes > data_.size())
+  if (header_.total_bytes > file_bytes)
     throw RestoreError(RestoreErrorKind::Truncated,
-                       "'" + path + "' holds " +
-                           std::to_string(data_.size()) + " of " +
-                           std::to_string(header_.total_bytes) +
+                       "'" + path + "' holds " + std::to_string(file_bytes) +
+                           " of " + std::to_string(header_.total_bytes) +
                            " committed bytes");
 
   const std::uint64_t table_bytes =
@@ -188,18 +183,15 @@ FileReader::FileReader(const std::string& path) : path_(path) {
       header_.table_offset > header_.total_bytes - table_bytes)
     throw RestoreError(RestoreErrorKind::TableCorrupt,
                        "section table out of bounds in '" + path + "'");
-  if (crc32(data_.data() + header_.table_offset, table_bytes) !=
-      header_.table_crc)
+  std::vector<SectionRecord> table(header_.section_count);
+  read_at(header_.table_offset, table.data(), table_bytes);
+  if (crc32(table.data(), table_bytes) != header_.table_crc)
     throw RestoreError(RestoreErrorKind::TableCorrupt,
                        "section table CRC mismatch in '" + path + "'");
 
   sections_.resize(header_.section_count);
   for (std::uint32_t i = 0; i < header_.section_count; ++i) {
-    SectionRecord rec;
-    std::memcpy(&rec,
-                data_.data() + header_.table_offset +
-                    static_cast<std::uint64_t>(i) * sizeof(SectionRecord),
-                sizeof(SectionRecord));
+    SectionRecord& rec = table[i];
     Slot& slot = sections_[i];
     // Defensive NUL-termination: name[] is NUL-padded on write.
     rec.name[kSectionNameMax] = '\0';
@@ -225,7 +217,18 @@ FileReader::FileReader(const std::string& path) : path_(path) {
   }
 }
 
-const EncodedSection& FileReader::section(std::string_view name) {
+void FileReader::read_at(std::uint64_t offset, void* dst, std::size_t n) {
+  if (n == 0) return;
+  // The envelope bounds every offset by total_bytes <= the file size seen
+  // at open; a short read here means the file shrank underneath us.
+  if (std::fseek(file_.get(), static_cast<long>(offset), SEEK_SET) != 0 ||
+      std::fread(dst, 1, n, file_.get()) != n)
+    throw RestoreError(RestoreErrorKind::Truncated,
+                       "short read from '" + path_ + "'");
+  prof::counter_add("ckpt.bytes_read", n);
+}
+
+FileReader::Slot& FileReader::load(std::string_view name) {
   auto it = index_.find(name);
   if (it == index_.end())
     throw RestoreError(RestoreErrorKind::MissingSection,
@@ -233,32 +236,41 @@ const EncodedSection& FileReader::section(std::string_view name) {
                            path_ + "'");
   Slot& slot = sections_[it->second];
   if (!slot.loaded) {
-    if (crc32(data_.data() + slot.offset, slot.bytes) != slot.crc)
+    std::vector<std::byte> payload(static_cast<std::size_t>(slot.bytes));
+    read_at(slot.offset, payload.data(), payload.size());
+    if (crc32(payload.data(), payload.size()) != slot.crc)
       throw RestoreError(RestoreErrorKind::SectionCorrupt,
                          "payload CRC mismatch in section '" +
                              slot.section.name + "' of '" + path_ + "'");
-    slot.section.payload.assign(data_.begin() + static_cast<std::ptrdiff_t>(slot.offset),
-                                data_.begin() + static_cast<std::ptrdiff_t>(slot.offset + slot.bytes));
+    slot.section.payload = std::move(payload);
     slot.loaded = true;
   }
-  return slot.section;
+  return slot;
+}
+
+const EncodedSection& FileReader::section(std::string_view name) {
+  return load(name).section;
+}
+
+EncodedSection FileReader::take(std::string_view name) {
+  Slot& slot = load(name);
+  std::vector<std::byte> payload = std::move(slot.section.payload);
+  slot.section.payload.clear();
+  slot.loaded = false;
+  EncodedSection out = slot.section;  // metadata only: the payload moved
+  out.payload = std::move(payload);
+  return out;
 }
 
 std::vector<std::string> FileReader::section_names() const {
   std::vector<std::string> names;
   names.reserve(index_.size());
-  for (const auto& [name, idx] : index_) {
-    (void)idx;
-    names.push_back(name);
-  }
+  for (const auto& entry : index_) names.push_back(entry.first);
   return names;
 }
 
 void FileReader::validate_all() {
-  for (const auto& [name, idx] : index_) {
-    (void)idx;
-    (void)section(name);
-  }
+  for (const auto& entry : index_) load(entry.first);
 }
 
 

@@ -9,10 +9,14 @@
 // `<path>.tmp` and atomically renames onto `path`. A crash mid-write
 // leaves at worst a stale .tmp, never a half-written committed file.
 //
-// Reader: loads the whole file, validates header CRC, magic, version,
-// total size and table CRC up front, and validates each payload's CRC on
-// first access — every failure is a typed RestoreError (format.hpp), which
-// is what the generation-ring fallback dispatches on.
+// Reader: reads and validates the header (CRC, magic, version, total
+// size) and the section table (bounds, CRC) up front, then reads each
+// payload from disk on first access and validates its CRC — every byte of
+// the file is read at most once, and a caller that needs one small
+// section (the chain-aware prune's 48-byte "ela.meta") never touches the
+// others. Every failure is a typed RestoreError (format.hpp), which is
+// what the generation-ring fallback dispatches on. Reads are counted in
+// the always-on prof counters "ckpt.files_opened" and "ckpt.bytes_read".
 //
 // SectionSource is the abstract read surface both FileReader and the
 // elastic chain reader (src/elastic, docs/ELASTIC.md) implement: restore
@@ -21,7 +25,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -162,7 +168,7 @@ class SectionSource {
 class FileReader : public SectionSource {
  public:
   /// Open + validate the envelope (header CRC, magic, version, size,
-  /// table CRC). Section payload CRCs are validated lazily on access.
+  /// table CRC). Payloads are read and CRC-validated lazily on access.
   explicit FileReader(const std::string& path);
 
   [[nodiscard]] std::uint64_t fingerprint() const noexcept override {
@@ -181,13 +187,17 @@ class FileReader : public SectionSource {
   /// All section names in the file, sorted (the index is an ordered map).
   [[nodiscard]] std::vector<std::string> section_names() const override;
 
-  /// Fetch a section by name (CRC-validated on first access). Throws
-  /// RestoreError{MissingSection} / {SectionCorrupt}.
+  /// Fetch a section by name (read + CRC-validated on first access).
+  /// Throws RestoreError{MissingSection} / {SectionCorrupt} / {Truncated}.
   const EncodedSection& section(std::string_view name) override;
 
-  /// CRC-validate every payload now. Restore paths call this before
-  /// mutating any live state, so a torn/flipped payload anywhere in the
-  /// file surfaces before a single byte of the simulation changes.
+  /// Move a validated section out instead of copying it (the chain reader
+  /// re-homes payloads this way). A later access reads it from disk again.
+  EncodedSection take(std::string_view name);
+
+  /// Read and CRC-validate every payload now. Restore paths call this
+  /// before mutating any live state, so a torn/flipped payload anywhere in
+  /// the file surfaces before a single byte of the simulation changes.
   void validate_all();
 
  private:
@@ -198,9 +208,13 @@ class FileReader : public SectionSource {
     std::uint32_t crc = 0;
     bool loaded = false;
   };
+  struct Closer { void operator()(std::FILE* f) const { std::fclose(f); } };
 
+  Slot& load(std::string_view name);
+  void read_at(std::uint64_t offset, void* dst, std::size_t n);
+
+  std::unique_ptr<std::FILE, Closer> file_;
   FileHeader header_{};
-  std::vector<std::byte> data_;
   std::vector<Slot> sections_;
   std::map<std::string, std::size_t, std::less<>> index_;
   std::string path_;

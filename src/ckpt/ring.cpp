@@ -1,37 +1,59 @@
 #include "ckpt/ring.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
+#include <string_view>
 
 namespace vpic::ckpt {
 
 namespace fs = std::filesystem;
 
-GenerationRing::GenerationRing(std::string base, int keep_last)
-    : base_(std::move(base)), keep_last_(std::max(1, keep_last)) {}
+namespace {
+
+/// Generation number spelled by `digits`, or nullopt unless it is a
+/// non-empty all-digit string that fits in 64 bits.
+std::optional<std::uint64_t> parse_generation(std::string_view digits) {
+  if (digits.empty() || digits.size() > 19 ||
+      digits.find_first_not_of("0123456789") != std::string_view::npos)
+    return std::nullopt;
+  std::uint64_t g = 0;
+  for (const char c : digits) g = g * 10 + static_cast<std::uint64_t>(c - '0');
+  return g;
+}
+
+fs::path ring_dir(const std::string& base) {
+  const fs::path p(base);
+  return p.has_parent_path() ? p.parent_path() : fs::path(".");
+}
+
+}  // namespace
+
+GenerationRing::GenerationRing(std::string base) : base_(std::move(base)) {}
+
+std::optional<GenerationRing::Member> GenerationRing::parse(
+    const std::string& path) {
+  const auto dot = path.rfind(".g");
+  if (dot == std::string::npos) return std::nullopt;
+  const auto gen = parse_generation(std::string_view(path).substr(dot + 2));
+  if (!gen) return std::nullopt;
+  return Member{GenerationRing(path.substr(0, dot)), *gen};
+}
 
 std::string GenerationRing::path_for(std::uint64_t gen) const {
   return base_ + ".g" + std::to_string(gen);
 }
 
 std::vector<std::uint64_t> GenerationRing::generations() const {
-  const fs::path base(base_);
-  const fs::path dir =
-      base.has_parent_path() ? base.parent_path() : fs::path(".");
-  const std::string prefix = base.filename().string() + ".g";
-
+  const std::string prefix = fs::path(base_).filename().string() + ".g";
   std::vector<std::uint64_t> gens;
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+  for (const auto& entry : fs::directory_iterator(ring_dir(base_), ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.size() <= prefix.size() || name.compare(0, prefix.size(), prefix) != 0)
-      continue;
-    const std::string tail = name.substr(prefix.size());
-    if (tail.empty() ||
-        tail.find_first_not_of("0123456789") != std::string::npos)
-      continue;  // skips ".tmp" suffixes and unrelated files
-    gens.push_back(std::strtoull(tail.c_str(), nullptr, 10));
+    if (!name.starts_with(prefix)) continue;
+    // Skips ".tmp" suffixes and unrelated files.
+    if (const auto g = parse_generation(
+            std::string_view(name).substr(prefix.size())))
+      gens.push_back(*g);
   }
   std::sort(gens.begin(), gens.end());
   return gens;
@@ -40,15 +62,6 @@ std::vector<std::uint64_t> GenerationRing::generations() const {
 std::uint64_t GenerationRing::next_generation() const {
   const auto gens = generations();
   return gens.empty() ? 0 : gens.back() + 1;
-}
-
-void GenerationRing::prune() const {
-  const auto gens = generations();
-  std::error_code ec;
-  if (gens.size() > static_cast<std::size_t>(keep_last_)) {
-    const std::size_t drop = gens.size() - static_cast<std::size_t>(keep_last_);
-    for (std::size_t i = 0; i < drop; ++i) fs::remove(path_for(gens[i]), ec);
-  }
 }
 
 std::size_t GenerationRing::purge() const {
@@ -62,15 +75,11 @@ std::size_t GenerationRing::purge() const {
 
 void GenerationRing::remove_stale_tmp() const {
   std::error_code ec;
-  const fs::path base(base_);
-  const fs::path dir =
-      base.has_parent_path() ? base.parent_path() : fs::path(".");
-  const std::string prefix = base.filename().string() + ".g";
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+  const std::string prefix = fs::path(base_).filename().string() + ".g";
+  for (const auto& entry : fs::directory_iterator(ring_dir(base_), ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.size() > prefix.size() + 4 &&
-        name.compare(0, prefix.size(), prefix) == 0 &&
-        name.compare(name.size() - 4, 4, ".tmp") == 0)
+    if (name.size() > prefix.size() + 4 && name.starts_with(prefix) &&
+        name.ends_with(".tmp"))
       fs::remove(entry.path(), ec);
   }
 }

@@ -1,14 +1,18 @@
 // ckpt/ring.hpp
 //
 // Generation ring: periodic checkpoints write `<base>.g<N>` with a
-// monotonically increasing generation number, keeping only the newest
-// `keep_last` files. Combined with the writer's rename-commit this gives
-// the classic fault-tolerance ladder (docs/CHECKPOINT.md):
+// monotonically increasing generation number. Combined with the writer's
+// rename-commit this gives the classic fault-tolerance ladder
+// (docs/CHECKPOINT.md):
 //
 //   * a crash mid-write leaves the previous generations untouched,
 //   * a corrupted newest generation (detected by the reader's CRCs as a
 //     typed RestoreError) falls back to the one before it,
 //   * restore_latest() walks generations newest-first until one restores.
+//
+// Retention is not decided here: the one chain-aware prune
+// (elastic::prune_chains, docs/ELASTIC.md) keeps the newest whole chains,
+// a plain generation counting as a chain of one.
 //
 // Ownership is per base path, not per directory: every query and mutation
 // matches "<basename>.g<digits>" exactly, so many rings — e.g. the farm's
@@ -18,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,11 +31,15 @@ namespace vpic::ckpt {
 class GenerationRing {
  public:
   /// `base` may include directories ("out/ckpt"); generation files are
-  /// siblings named "<base>.g<N>". keep_last < 1 is clamped to 1.
-  explicit GenerationRing(std::string base, int keep_last = 3);
+  /// siblings named "<base>.g<N>".
+  explicit GenerationRing(std::string base);
+
+  /// The one parser of the ring naming: split "<base>.g<N>" into its ring
+  /// and generation, or nullopt for any other path.
+  struct Member;
+  [[nodiscard]] static std::optional<Member> parse(const std::string& path);
 
   [[nodiscard]] const std::string& base() const noexcept { return base_; }
-  [[nodiscard]] int keep_last() const noexcept { return keep_last_; }
 
   [[nodiscard]] std::string path_for(std::uint64_t gen) const;
 
@@ -40,12 +49,6 @@ class GenerationRing {
 
   /// Next generation number to write (max existing + 1, or 0).
   [[nodiscard]] std::uint64_t next_generation() const;
-
-  /// Delete committed generations beyond the newest keep_last. Only
-  /// committed files are touched — an in-flight "<base>.g<N>.tmp" is
-  /// invisible here, so pruning is safe while an async writer is still
-  /// committing. Best-effort: removal errors are ignored.
-  void prune() const;
 
   /// Delete stale "<base>.g<N>.tmp" leftovers — uncommitted wrecks from a
   /// crash mid-write. Callers must NOT run this while an asynchronous
@@ -64,7 +67,11 @@ class GenerationRing {
 
  private:
   std::string base_;
-  int keep_last_;
+};
+
+struct GenerationRing::Member {
+  GenerationRing ring;
+  std::uint64_t generation = 0;
 };
 
 }  // namespace vpic::ckpt

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -111,9 +112,18 @@ void check_view_shape(const EncodedSection& s) {
   if (s.layout != detail::layout_tag<L>())
     throw RestoreError(RestoreErrorKind::ShapeMismatch,
                        "section '" + s.name + "' layout tag mismatch");
-  std::int64_t n = 1;
-  for (int d = 0; d < R; ++d) n *= s.extents[static_cast<std::size_t>(d)];
-  if (s.payload.size() != static_cast<std::size_t>(n) * sizeof(T))
+  // Overflow-safe element count: crafted extents (negative, or with a
+  // product that wraps) must not alias a small payload size.
+  std::uint64_t n = 1;
+  for (int d = 0; d < R; ++d) {
+    const std::int64_t e = s.extents[static_cast<std::size_t>(d)];
+    if (e < 0 || (e > 0 && n > UINT64_MAX / sizeof(T) /
+                                   static_cast<std::uint64_t>(e)))
+      throw RestoreError(RestoreErrorKind::ShapeMismatch,
+                         "section '" + s.name + "' has impossible extents");
+    n *= static_cast<std::uint64_t>(e);
+  }
+  if (s.payload.size() != n * sizeof(T))
     throw RestoreError(RestoreErrorKind::ShapeMismatch,
                        "section '" + s.name + "' payload size " +
                            std::to_string(s.payload.size()) +

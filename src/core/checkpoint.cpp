@@ -19,11 +19,12 @@
 // tries the previous file).
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
-#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 
 #include "ckpt/ckpt.hpp"
 #include "core/domain.hpp"
@@ -136,32 +137,18 @@ void add_engine_sections(ckpt::FileWriter& w, const FieldArray& f,
     // The on-disk particle stream is the canonical packed AoS record for
     // every layout, so the file format (and its CRCs) is layout-invariant
     // and a checkpoint round-trips across AoS/SoA/AoSoA stores.
-    if (!chunked) {
-      if (sp.p.layout() == ParticleLayout::AoS) {
-        w.add_view(pfx + "p", sp.p.aos_view(), sp.np);
-      } else {
-        pk::View<Particle, 1> canon("ckpt_canon_" + sp.name, sp.np);
-        sp.p.export_aos(canon.data(), sp.np);
-        w.add_view(pfx + "p", canon);
-      }
-      continue;
-    }
-    // Chunked layout: one canonical AoS staging, then per-chunk copies in
-    // index order (chunk boundaries follow the tile partition, so the
-    // concatenation in k order IS the canonical stream).
-    pk::View<Particle, 1> canon("ckpt_canon_" + sp.name, sp.np);
-    const Particle* src = canon.data();
+    pk::View<Particle, 1> canon;
+    const Particle* src = nullptr;
     if (sp.p.layout() == ParticleLayout::AoS) {
       src = sp.p.aos_view().data();
     } else {
+      canon = pk::View<Particle, 1>("ckpt_canon_" + sp.name, sp.np);
       sp.p.export_aos(canon.data(), sp.np);
+      src = canon.data();
     }
-    const auto chunks = particle_chunks(sp);
-    w.add_pod(pfx + "nchunks", static_cast<std::uint64_t>(chunks.size()));
-    for (std::size_t k = 0; k < chunks.size(); ++k) {
-      const auto [begin, end] = chunks[k];
+    const auto add_range = [&](std::string name, index_t begin, index_t end) {
       ckpt::EncodedSection c;
-      c.name = pfx + "c" + std::to_string(k) + ".p";
+      c.name = std::move(name);
       c.elem_size = sizeof(Particle);
       c.rank = 1;
       c.extents[0] = static_cast<std::int64_t>(end - begin);
@@ -171,7 +158,19 @@ void add_engine_sections(ckpt::FileWriter& w, const FieldArray& f,
       if (end > begin)
         std::memcpy(c.payload.data(), src + begin, c.payload.size());
       w.add(std::move(c));
+    };
+    if (!chunked) {
+      add_range(pfx + "p", 0, sp.np);
+      continue;
     }
+    // Chunked layout: per-chunk copies in index order (chunk boundaries
+    // follow the tile partition, so the concatenation in k order IS the
+    // canonical stream).
+    const auto chunks = particle_chunks(sp);
+    w.add_pod(pfx + "nchunks", static_cast<std::uint64_t>(chunks.size()));
+    for (std::size_t k = 0; k < chunks.size(); ++k)
+      add_range(pfx + "c" + std::to_string(k) + ".p", chunks[k].first,
+                chunks[k].second);
   }
 }
 
@@ -210,9 +209,14 @@ void read_engine_sections(ckpt::SectionSource& f, FieldArray& fld,
                                    sp.name + "', checkpoint holds '" +
                                    file_name + "'");
     const auto meta = f.pod<SpeciesMeta>(pfx + "meta");
-    if (meta.np < 0)
+    // The count must agree with the stored stream before it sizes a store;
+    // charge and mass are fingerprinted, so a consistent file matches the
+    // deck's (restore never changes a species' identity).
+    if (meta.np < 0 || f.section(pfx + "p").extents[0] != meta.np ||
+        meta.q != sp.q || meta.m != sp.m)
       throw ckpt::RestoreError(ckpt::RestoreErrorKind::ShapeMismatch,
-                               "negative particle count in '" + sp.name + "'");
+                               "metadata of species '" + sp.name +
+                                   "' disagrees with its particles or deck");
     if (meta.np > sp.capacity())
       sp.p = ParticleStore("particles_" + sp.name, meta.np, sp.p.layout());
     if (sp.p.layout() == ParticleLayout::AoS) {
@@ -226,8 +230,6 @@ void read_engine_sections(ckpt::SectionSource& f, FieldArray& fld,
       sp.p.import_aos(canon.data(), meta.np);
     }
     sp.np = meta.np;
-    sp.q = meta.q;
-    sp.m = meta.m;
     sp.steps_since_sort = meta.steps_since_sort;
     sp.cell_sorted_hint = meta.cell_sorted_hint != 0;
     // The reorder scratch and run segmentation are rebuilt on demand.
@@ -265,7 +267,7 @@ void read_history_sections(ckpt::SectionSource& f, EnergyHistory& h) {
   h.clear();
   std::size_t cursor = 0;
   for (std::size_t i = 0; i < steps.size(); ++i) {
-    if (cursor + counts[i] > ke.size())
+    if (counts[i] > ke.size() - cursor)
       throw ckpt::RestoreError(ckpt::RestoreErrorKind::ShapeMismatch,
                                "energy-history ke section too short");
     std::vector<double> row(ke.begin() + static_cast<std::ptrdiff_t>(cursor),
@@ -323,11 +325,16 @@ void read_module_sections(
         continue;
       }
       const auto colon = line.rfind(':');
-      if (colon != std::string::npos)
-        in_file.emplace_back(
-            line.substr(0, colon),
-            static_cast<std::uint32_t>(
-                std::stoul(line.substr(colon + 1))));
+      if (colon != std::string::npos) {
+        std::uint32_t ver = 0;
+        const char* end = line.data() + line.size();
+        const auto [ptr, ec] =
+            std::from_chars(line.data() + colon + 1, end, ver);
+        if (ec != std::errc() || ptr != end)
+          throw ckpt::RestoreError(ckpt::RestoreErrorKind::SectionCorrupt,
+                                   "bad 'mod.index' line '" + line + "'");
+        in_file.emplace_back(line.substr(0, colon), ver);
+      }
       line.clear();
     }
   }
@@ -379,18 +386,6 @@ void read_module_sections(
       }
     if (!listed) m->clear_state();
   }
-}
-
-/// Generation number of a ring path "<base>.g<N>", or -1 for anything
-/// else. Incremental chains only make sense inside a generation ring
-/// (deltas resolve siblings by rewriting the suffix); a plain path gets a
-/// plain full checkpoint instead.
-std::int64_t ring_generation_of(const std::string& path) {
-  const auto dot = path.rfind(".g");
-  if (dot == std::string::npos || dot + 2 >= path.size()) return -1;
-  for (std::size_t i = dot + 2; i < path.size(); ++i)
-    if (std::isdigit(static_cast<unsigned char>(path[i])) == 0) return -1;
-  return static_cast<std::int64_t>(std::stoll(path.substr(dot + 2)));
 }
 
 }  // namespace
@@ -453,101 +448,101 @@ std::uint64_t Simulation::config_fingerprint() const {
   return fp.value();
 }
 
-std::uint64_t Simulation::checkpoint(const std::string& path) {
-  prof::ScopedRegion r("ckpt");
-  const std::int64_t gen =
-      cfg_.checkpoint_incremental ? ring_generation_of(path) : -1;
-  ckpt::FileWriter w;
-  {
-    prof::ScopedRegion enc("ckpt_encode");
-    add_engine_sections(w, fields_, interp_, acc_, species_, gen >= 0);
-    add_history_sections(w, energy_history_);
-    add_module_sections(w, modules_);
-  }
-  std::uint64_t bytes;
-  if (gen >= 0) {
-    if (!elastic_tracker_)
-      elastic_tracker_ = std::make_shared<elastic::DeltaTracker>(
-          std::max(1, cfg_.checkpoint_full_every));
-    if (!elastic_stats_)
-      elastic_stats_ = std::make_shared<ElasticStatsShared>();
-    const elastic::GenerationPlan plan = elastic_tracker_->plan(
-        w.sections(), gen,
-        static_cast<elastic::Codec>(cfg_.checkpoint_codec));
+/// One generation, snapshotted on the stepping thread and self-contained
+/// from then on, so commit() may run inline or on the background instance.
+/// A chain generation carries its delta plan (taken in generation order,
+/// so it is part of the snapshot); a plain one commits the sections as-is.
+struct Simulation::Snapshot {
+  std::string path;
+  std::uint64_t fingerprint = 0;
+  std::int64_t step = 0;
+  ckpt::FileWriter sections;
+  std::optional<elastic::GenerationPlan> plan;
+  std::shared_ptr<ElasticStatsShared> stats;
+
+  std::uint64_t commit() const {
+    if (!plan) return sections.commit(path, fingerprint, step);
     const elastic::GenStats st = elastic::write_generation(
-        path, w.sections(), plan, config_fingerprint(), step_count_);
-    elastic_stats_->record(st);
-    bytes = st.file_bytes;
+        path, sections.sections(), *plan, fingerprint, step);
+    stats->record(st);
+    return st.file_bytes;
+  }
+};
+
+std::shared_ptr<const Simulation::Snapshot> Simulation::snapshot(
+    const std::string& path) {
+  auto snap = std::make_shared<Snapshot>();
+  snap->path = path;
+  snap->fingerprint = config_fingerprint();
+  snap->step = step_count_;
+  // Incremental chains live only in a generation ring (deltas resolve
+  // siblings by rewriting the "<base>.g<N>" suffix); anything else is a
+  // plain full generation, which also ends the tracked chain.
+  const auto member = cfg_.checkpoint_incremental
+                          ? ckpt::GenerationRing::parse(path)
+                          : std::nullopt;
+  {
+    // This encode IS the snapshot: encode_view deep-copies every payload,
+    // so once it returns the writer is independent of the live state.
+    prof::ScopedRegion enc("ckpt_encode");
+    add_engine_sections(snap->sections, fields_, interp_, acc_, species_,
+                        member.has_value());
+    add_history_sections(snap->sections, energy_history_);
+    add_module_sections(snap->sections, modules_);
+  }
+  if (!member) {
+    if (elastic_tracker_) elastic_tracker_->invalidate();
+    return snap;
+  }
+  if (!elastic_tracker_)
+    elastic_tracker_ = std::make_shared<elastic::DeltaTracker>(
+        std::max(1, cfg_.checkpoint_full_every));
+  if (!elastic_stats_) elastic_stats_ = std::make_shared<ElasticStatsShared>();
+  snap->plan = elastic_tracker_->plan(
+      snap->sections.sections(), static_cast<std::int64_t>(member->generation),
+      static_cast<elastic::Codec>(cfg_.checkpoint_codec));
+  snap->stats = elastic_stats_;
+  return snap;
+}
+
+std::uint64_t Simulation::write_checkpoint(const std::string& path,
+                                           bool async) {
+  std::uint64_t bytes = 0;
+  if (!async) {
+    bytes = snapshot(path)->commit();
   } else {
-    bytes = w.commit(path, config_fingerprint(), step_count_);
+    if (!ckpt_instance_) ckpt_instance_.emplace();
+    // Double buffer: at most two detached snapshots queued behind the
+    // background instance; a third submission waits for the queue to
+    // drain (bounding memory at 2x the engine state).
+    if (ckpt_inflight_->load(std::memory_order_acquire) >= 2)
+      ckpt_instance_->fence();
+    auto snap = snapshot(path);
+    ckpt_inflight_->fetch_add(1, std::memory_order_acq_rel);
+    pk::async(*ckpt_instance_, "ckpt_write",
+              [snap, inflight = ckpt_inflight_] {
+                // Decrement even when commit throws (the exception is
+                // deferred to the next fence, pk::Instance semantics).
+                struct Done {
+                  std::shared_ptr<std::atomic<int>> c;
+                  ~Done() { c->fetch_sub(1, std::memory_order_acq_rel); }
+                } done{inflight};
+                snap->commit();
+              });
   }
   ++ckpt_written_;
   for (const auto& m : modules_) m->on_checkpoint(*this);
   return bytes;
 }
 
+std::uint64_t Simulation::checkpoint(const std::string& path) {
+  prof::ScopedRegion r("ckpt");
+  return write_checkpoint(path, /*async=*/false);
+}
+
 void Simulation::checkpoint_async(const std::string& path) {
   prof::ScopedRegion r("ckpt_async");
-  if (!ckpt_instance_) ckpt_instance_.emplace();
-  // Double buffer: at most two detached snapshots queued behind the
-  // background instance; a third submission waits for the queue to drain
-  // (bounding memory at 2x the engine state).
-  if (ckpt_inflight_->load(std::memory_order_acquire) >= 2)
-    ckpt_instance_->fence();
-
-  const std::int64_t gen =
-      cfg_.checkpoint_incremental ? ring_generation_of(path) : -1;
-  auto w = std::make_shared<ckpt::FileWriter>();
-  {
-    // This encode IS the snapshot: encode_view deep-copies every payload,
-    // so once it returns the writer is independent of the live state and
-    // stepping may continue while the file is written behind it.
-    prof::ScopedRegion enc("ckpt_encode");
-    add_engine_sections(*w, fields_, interp_, acc_, species_, gen >= 0);
-    add_history_sections(*w, energy_history_);
-    add_module_sections(*w, modules_);
-  }
-  const std::uint64_t fp = config_fingerprint();
-  const std::int64_t step = step_count_;
-  ckpt_inflight_->fetch_add(1, std::memory_order_acq_rel);
-  auto inflight = ckpt_inflight_;
-  if (gen >= 0) {
-    // Incremental: the plan (hash/diff against the previous generation)
-    // runs NOW, on the stepping thread — it is part of the snapshot and
-    // must observe generations in order. Only the codec + commit work is
-    // hidden behind the background instance.
-    if (!elastic_tracker_)
-      elastic_tracker_ = std::make_shared<elastic::DeltaTracker>(
-          std::max(1, cfg_.checkpoint_full_every));
-    if (!elastic_stats_)
-      elastic_stats_ = std::make_shared<ElasticStatsShared>();
-    auto plan = std::make_shared<const elastic::GenerationPlan>(
-        elastic_tracker_->plan(
-            w->sections(), gen,
-            static_cast<elastic::Codec>(cfg_.checkpoint_codec)));
-    auto stats = elastic_stats_;
-    pk::async(*ckpt_instance_, "ckpt_write",
-              [w, path, fp, step, inflight, plan, stats] {
-                struct Done {
-                  std::shared_ptr<std::atomic<int>> c;
-                  ~Done() { c->fetch_sub(1, std::memory_order_acq_rel); }
-                } done{inflight};
-                stats->record(elastic::write_generation(path, w->sections(),
-                                                        *plan, fp, step));
-              });
-  } else {
-    pk::async(*ckpt_instance_, "ckpt_write", [w, path, fp, step, inflight] {
-      // Decrement even when commit throws (the exception is deferred to
-      // the next fence, pk::Instance semantics).
-      struct Done {
-        std::shared_ptr<std::atomic<int>> c;
-        ~Done() { c->fetch_sub(1, std::memory_order_acq_rel); }
-      } done{inflight};
-      w->commit(path, fp, step);
-    });
-  }
-  ++ckpt_written_;
-  for (const auto& m : modules_) m->on_checkpoint(*this);
+  write_checkpoint(path, /*async=*/true);
 }
 
 void Simulation::checkpoint_wait() {
@@ -556,25 +551,15 @@ void Simulation::checkpoint_wait() {
 
 void Simulation::restore(const std::string& path) {
   prof::ScopedRegion r("ckpt_restore");
-  const auto apply = [this](ckpt::SectionSource& f) {
-    f.require_fingerprint(config_fingerprint());
-    read_engine_sections(f, fields_, interp_, acc_, species_);
-    read_history_sections(f, energy_history_);
-    read_module_sections(f, modules_, last_restore_skips_);
-    step_count_ = f.step();
-  };
-  if (elastic::ChainReader::is_chain_file(path)) {
-    // Incremental generation: resolving the chain validates every
-    // referenced sibling and hash-checks every payload up front, so the
-    // validate-then-mutate order is preserved.
-    elastic::ChainReader f(path);
-    apply(f);
-  } else {
-    ckpt::FileReader f(path);
-    f.require_fingerprint(config_fingerprint());
-    f.validate_all();
-    apply(f);
-  }
+  // The one reader: a plain generation or a chain. Its constructor reads
+  // and integrity-checks every payload the restore will consume (CRCs,
+  // plus chain hashes), so the validate-then-mutate order holds.
+  elastic::ChainReader f(path);
+  f.require_fingerprint(config_fingerprint());
+  read_engine_sections(f, fields_, interp_, acc_, species_);
+  read_history_sections(f, energy_history_);
+  read_module_sections(f, modules_, last_restore_skips_);
+  step_count_ = f.step();
   // The on-disk chain no longer matches the tracker's hash bookkeeping
   // (restore may land on any generation): start a fresh chain.
   if (elastic_tracker_) elastic_tracker_->invalidate();
@@ -584,7 +569,7 @@ void Simulation::restore(const std::string& path) {
 }
 
 std::string Simulation::restore_latest(const std::string& base) {
-  ckpt::GenerationRing ring(base, cfg_.checkpoint_keep_last);
+  const ckpt::GenerationRing ring(base);
   const auto gens = ring.generations();
   std::optional<ckpt::RestoreError> newest_failure;
   for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
@@ -603,35 +588,28 @@ std::string Simulation::restore_latest(const std::string& base) {
                            "no checkpoint generations at '" + base + "'");
 }
 
-void Simulation::checkpoint_to_ring() {
+void Simulation::checkpoint_to_ring(const std::string& base, int keep_last,
+                                    bool async) {
   prof::ScopedRegion r("ckpt_ring");
-  ckpt::GenerationRing ring(cfg_.checkpoint_path, cfg_.checkpoint_keep_last);
+  const ckpt::GenerationRing ring(base);
   // Generation numbers are tracked in memory, not re-scanned per
   // checkpoint: an async generation not yet renamed into place is
   // invisible to a directory scan, so two back-to-back periodic
   // checkpoints would collide on the same number and the later write
   // would silently overwrite a retained generation.
-  if (ckpt_next_gen_ < 0 || ckpt_ring_base_ != cfg_.checkpoint_path) {
-    ckpt_ring_base_ = cfg_.checkpoint_path;
+  if (ckpt_next_gen_ < 0 || ckpt_ring_base_ != base) {
+    ckpt_ring_base_ = base;
     ckpt_next_gen_ = static_cast<std::int64_t>(ring.next_generation());
   }
   const std::string path =
       ring.path_for(static_cast<std::uint64_t>(ckpt_next_gen_++));
-  if (cfg_.checkpoint_async) {
-    checkpoint_async(path);
-  } else {
-    checkpoint(path);
-  }
-  // Prune sees only committed files: an async generation still being
+  write_checkpoint(path, async);
+  // keep_last counts whole chains, a plain generation being a chain of
+  // one, so no retained delta ever loses its base (docs/ELASTIC.md). The
+  // prune sees only committed files: an async generation still being
   // written has not been renamed into place yet, and a later prune
-  // catches it. In incremental mode keep_last counts whole chains — a
-  // count-based prune could unlink a base out from under its deltas,
-  // leaving retained generations unrestorable (docs/ELASTIC.md).
-  if (cfg_.checkpoint_incremental) {
-    elastic::prune_chains(cfg_.checkpoint_path, cfg_.checkpoint_keep_last);
-  } else {
-    ring.prune();
-  }
+  // catches it.
+  elastic::prune_chains(base, keep_last);
   // The stale-.tmp sweep must wait until no async commit is in flight —
   // it would unlink the background writer's "<path>.tmp" mid-write and
   // the rename-commit would fail, silently losing that checkpoint. With

@@ -41,7 +41,10 @@ struct PipelineAccess {
   static bool checkpoint_due(Simulation& s, std::int64_t at_step) {
     return s.checkpoint_due(at_step);
   }
-  static void checkpoint_to_ring(Simulation& s) { s.checkpoint_to_ring(); }
+  static void checkpoint_to_ring(Simulation& s) {
+    s.checkpoint_to_ring(s.cfg_.checkpoint_path, s.cfg_.checkpoint_keep_last,
+                         s.cfg_.checkpoint_async);
+  }
 };
 
 namespace {

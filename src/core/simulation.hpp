@@ -115,7 +115,8 @@ struct SimulationConfig {
   std::size_t graph_instances = 2;
   // Periodic checkpointing (docs/CHECKPOINT.md), off by default: every
   // `checkpoint_every` steps write a generation "<checkpoint_path>.g<N>"
-  // keeping the newest `checkpoint_keep_last` files. With
+  // keeping the newest `checkpoint_keep_last` chains (a plain generation
+  // is a chain of one, so a plain ring keeps that many files). With
   // `checkpoint_async` the snapshot is deep-copied and written on a
   // background pk::Instance so stepping continues immediately.
   int checkpoint_every = 0;
@@ -127,8 +128,8 @@ struct SimulationConfig {
   // `checkpoint_full_every` generations, then deltas storing only the
   // sections whose payload hash changed (particles tracked per tile-sized
   // chunk), with `checkpoint_codec` (elastic::Codec: 0 none, 1 DeltaPack)
-  // losslessly packing stored payloads. With incremental on, keep_last
-  // counts whole chains, so every retained recovery point stays complete.
+  // losslessly packing stored payloads. keep_last counts whole chains, so
+  // every retained recovery point stays complete.
   bool checkpoint_incremental = false;
   int checkpoint_full_every = 8;
   std::uint8_t checkpoint_codec = 1;
@@ -390,6 +391,14 @@ class Simulation {
   /// Returns the path actually restored from.
   std::string restore_latest(const std::string& base);
 
+  /// Write the next generation "<base>.g<N>" of a ring (numbered in
+  /// memory, so a pending async generation is never overwritten), then
+  /// prune it to the newest `keep_last` chains and sweep stale .tmp
+  /// files once no async commit is in flight. The periodic checkpoint
+  /// and farm parking both go through here.
+  void checkpoint_to_ring(const std::string& base, int keep_last,
+                          bool async = false);
+
   /// FNV-1a fingerprint of the physics-defining configuration (grid, dt,
   /// strategy, sort plan, seed, species identities). Execution details
   /// (scheduler, instance counts, checkpoint knobs) are excluded so a
@@ -423,8 +432,12 @@ class Simulation {
   void finish_tiled_step(const pk::StealStats& steal);
   [[nodiscard]] StepGraph build_step_graph(std::int64_t next_step,
                                            bool tiled);
-  /// Write the next ring generation per the config (sync or async).
-  void checkpoint_to_ring();
+  /// One generation's encoded state (core/checkpoint.cpp).
+  struct Snapshot;
+  std::shared_ptr<const Snapshot> snapshot(const std::string& path);
+  /// The one snapshot->commit routine: commit inline, or queue the commit
+  /// on the background instance.
+  std::uint64_t write_checkpoint(const std::string& path, bool async);
   [[nodiscard]] bool checkpoint_due(std::int64_t at_step) const {
     return cfg_.checkpoint_every > 0 && !cfg_.checkpoint_path.empty() &&
            at_step % cfg_.checkpoint_every == 0;

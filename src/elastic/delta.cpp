@@ -4,7 +4,6 @@
 #include "elastic/delta.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -80,6 +79,11 @@ std::vector<ManifestEntry> parse_manifest(const std::byte* data,
                                           std::size_t n) {
   std::size_t at = 0;
   const auto count = get<std::uint32_t>(data, n, at);
+  // Each entry occupies at least 68 bytes (an empty name plus the fixed
+  // fields): bound the count by the blob before reserving for it.
+  if (count > n / 68)
+    throw RestoreError(RestoreErrorKind::SectionCorrupt,
+                       "'ela.manifest' is truncated");
   std::vector<ManifestEntry> entries;
   entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -108,18 +112,13 @@ std::vector<ManifestEntry> parse_manifest(const std::byte* data,
 
 std::string sibling_generation_path(const std::string& path,
                                     std::int64_t gen) {
-  // Ring naming is "<base>.g<digits>" (ckpt/ring.hpp): strip the suffix.
-  const auto dot = path.rfind(".g");
-  bool ok = dot != std::string::npos && dot + 2 < path.size();
-  if (ok)
-    for (std::size_t i = dot + 2; i < path.size(); ++i)
-      ok = ok && std::isdigit(static_cast<unsigned char>(path[i])) != 0;
-  if (!ok)
+  const auto member = ckpt::GenerationRing::parse(path);
+  if (!member)
     throw RestoreError(RestoreErrorKind::ManifestMismatch,
                        "'" + path +
                            "' is not a generation-ring file; delta chains "
                            "require '<base>.g<N>' naming");
-  return path.substr(0, dot) + ".g" + std::to_string(gen);
+  return member->ring.path_for(static_cast<std::uint64_t>(gen));
 }
 
 // ---------------------------------------------------------------------------
@@ -175,17 +174,7 @@ GenerationPlan DeltaTracker::plan(const std::vector<EncodedSection>& sections,
   last_ = generation;
   chain_seq_ = p.chain_seq;
   prev_.clear();
-  for (const ManifestEntry& e : p.entries) {
-    Prev v;
-    v.hash = e.hash;
-    v.src_gen = e.src_gen;
-    v.layout = e.layout;
-    v.elem_size = e.elem_size;
-    v.rank = e.rank;
-    v.extents = e.extents;
-    v.raw_bytes = e.raw_bytes;
-    prev_[e.name] = v;
-  }
+  for (const ManifestEntry& e : p.entries) prev_[e.name] = e;
   return p;
 }
 
@@ -258,24 +247,31 @@ GenStats write_generation(const std::string& path,
 // ---------------------------------------------------------------------------
 // ChainReader
 
-bool ChainReader::is_chain_file(const std::string& path) noexcept {
-  try {
-    ckpt::FileReader f(path);
-    return f.has(kMetaSection);
-  } catch (...) {
-    return false;
-  }
-}
-
 ChainReader::ChainReader(const std::string& path) {
   ckpt::FileReader target(path);
   fingerprint_ = target.fingerprint();
   step_ = target.step();
 
-  meta_ = target.pod<ElaMeta>(std::string(kMetaSection));
+  if (!target.has(kMetaSection)) {
+    // A plain generation is self-contained: a full generation that is its
+    // own chain. Validate every payload before handing any out, so the
+    // restore stays validate-then-mutate.
+    const auto member = ckpt::GenerationRing::parse(path);
+    meta_.generation =
+        member ? static_cast<std::int64_t>(member->generation) : -1;
+    meta_.base = meta_.generation;
+    sources_.push_back(meta_.generation);
+    target.validate_all();
+    for (const std::string& name : target.section_names())
+      resolved_[name] = target.take(name);
+    return;
+  }
+
+  meta_ = target.pod<ElaMeta>(kMetaSection);
   if (meta_.magic != kElaMagic)
     throw RestoreError(RestoreErrorKind::SectionCorrupt,
                        "'" + path + "' has a bad ela.meta magic");
+  sources_.push_back(meta_.generation);
 
   const EncodedSection& ms = target.section(kManifestSection);
   const std::vector<ManifestEntry> manifest =
@@ -301,8 +297,8 @@ ChainReader::ChainReader(const std::string& path) {
                 " was written by a different deck/config than '" + path +
                 "'");
       src = sibling.get();
+      sources_.push_back(gen);
     }
-    sources_.push_back(gen);
 
     // How each section is stored in `src` is recorded in src's OWN
     // manifest (codec + raw fallback are decided at its commit).
@@ -320,7 +316,6 @@ ChainReader::ChainReader(const std::string& path) {
                            "chain generation " + std::to_string(gen) +
                                " does not store section '" + e->name + "'");
       const ManifestEntry& how = *sit->second;
-      const EncodedSection& raw = src->section(e->name);
 
       EncodedSection out;
       out.name = e->name;
@@ -329,8 +324,18 @@ ChainReader::ChainReader(const std::string& path) {
       out.extents = e->extents;
       out.layout = e->layout;
       if (how.codec == Codec::None) {
-        out.payload = raw.payload;
+        out.payload = src->take(e->name).payload;
       } else if (how.codec == Codec::DeltaPack) {
+        const EncodedSection& raw = src->section(e->name);
+        // A stream spends at least 2 control bits per 4 raw bytes: a
+        // claimed size beyond 16x the packed bytes is corrupt, and is
+        // rejected before it sizes an allocation.
+        if (how.raw_bytes != e->raw_bytes ||
+            how.raw_bytes / 16 > raw.payload.size())
+          throw RestoreError(RestoreErrorKind::SectionCorrupt,
+                             "section '" + e->name + "' in generation " +
+                                 std::to_string(gen) +
+                                 " claims an impossible decoded size");
         out.payload.resize(how.raw_bytes);
         if (!deltapack_decode(raw.payload.data(), raw.payload.size(),
                               out.payload.data(), how.raw_bytes,
@@ -420,37 +425,35 @@ void ChainReader::reassemble_particles() {
 // prune_chains
 
 std::size_t prune_chains(const std::string& ring_base, int keep_chains) {
-  if (keep_chains < 1) keep_chains = 1;
-  ckpt::GenerationRing ring(ring_base, keep_chains);
-  const std::vector<std::uint64_t> gens = ring.generations();
+  keep_chains = std::max(1, keep_chains);
+  const ckpt::GenerationRing ring(ring_base);
 
   // Chain id of a generation = its base generation (ela.meta); a plain
   // checkpoint or an unreadable file is its own single-generation chain,
-  // so broken junk still ages out.
+  // so broken junk still ages out. FileReader reads payloads lazily, so
+  // this touches each file's envelope and 48-byte ela.meta only.
   std::map<std::int64_t, std::vector<std::uint64_t>> chains;
-  for (std::uint64_t g : gens) {
+  for (std::uint64_t g : ring.generations()) {
     std::int64_t chain = static_cast<std::int64_t>(g);
     try {
       ckpt::FileReader f(ring.path_for(g));
       if (f.has(kMetaSection)) {
-        const auto meta = f.pod<ElaMeta>(std::string(kMetaSection));
+        const auto meta = f.pod<ElaMeta>(kMetaSection);
         if (meta.magic == kElaMagic) chain = meta.base;
       }
-    } catch (...) {
+    } catch (const RestoreError&) {
       // unreadable: leave it as its own chain
     }
     chains[chain].push_back(g);
   }
 
-  if (chains.size() <= static_cast<std::size_t>(keep_chains)) return 0;
   std::size_t removed = 0;
-  std::size_t drop = chains.size() - static_cast<std::size_t>(keep_chains);
-  for (const auto& [chain, members] : chains) {
-    if (drop == 0) break;
-    --drop;
-    for (std::uint64_t g : members)
+  std::size_t drop = chains.size() > static_cast<std::size_t>(keep_chains)
+                         ? chains.size() - static_cast<std::size_t>(keep_chains)
+                         : 0;
+  for (auto it = chains.begin(); drop > 0; ++it, --drop)
+    for (std::uint64_t g : it->second)
       if (std::remove(ring.path_for(g).c_str()) == 0) ++removed;
-  }
   return removed;
 }
 

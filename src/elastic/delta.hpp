@@ -22,15 +22,24 @@
 // without signalling), and write_generation — safe to run on a background
 // pk instance — compresses and commits the plan.
 //
-// ChainReader resolves a generation back into a flat SectionSource: it
-// walks the manifest, opens the sibling ring files each src_gen lives in,
-// decodes per-section codecs, verifies every resolved payload's hash
-// against the restore target's manifest, and reassembles chunked particle
-// sections ("sp<i>.c<k>.p") into the canonical "sp<i>.p" the core restore
-// path expects. Every failure is a typed ckpt::RestoreError, so the
+// ChainReader is the one restore reader of Simulation: it resolves any
+// generation back into a flat SectionSource. A file without "ela.meta" (a
+// plain VPICCKP1 generation) is a self-contained full generation — a chain
+// of one — whose payloads are all CRC-validated up front. For a chain
+// generation it walks the manifest, opens the sibling ring files each
+// src_gen lives in, decodes per-section codecs, verifies every resolved
+// payload's hash against the restore target's manifest, and reassembles
+// chunked particle sections ("sp<i>.c<k>.p") into the canonical "sp<i>.p"
+// the core restore path expects. Each file it touches is opened and read
+// once. Every failure is a typed ckpt::RestoreError, so the
 // generation-ring fallback in Simulation::restore_latest walks across
 // broken deltas and broken chains exactly as it walks across corrupt
-// single files.
+// plain files.
+//
+// Plain generations stay plain (checkpoint_incremental off) because the
+// chain's byte-by-byte FNV-1a payload hash, run at write and again at
+// restore, costs more than the plain path saves (docs/ELASTIC.md, "Two
+// generation kinds").
 #pragma once
 
 #include <array>
@@ -95,7 +104,7 @@ std::vector<ManifestEntry> parse_manifest(const std::byte* data,
                                           std::size_t n);
 
 /// Derive the path of generation `gen` in the same ring as `path`
-/// ("<base>.g<N>" naming, ckpt/ring.hpp). Throws
+/// (ckpt::GenerationRing::parse). Throws
 /// ckpt::RestoreError{ManifestMismatch} when `path` is not ring-shaped —
 /// a delta chain only makes sense inside a generation ring.
 std::string sibling_generation_path(const std::string& path,
@@ -154,21 +163,11 @@ class DeltaTracker {
   [[nodiscard]] int full_every() const noexcept { return full_every_; }
 
  private:
-  struct Prev {
-    std::uint64_t hash = 0;
-    std::int64_t src_gen = 0;
-    std::uint8_t layout = 0;
-    std::uint32_t elem_size = 0;
-    std::uint32_t rank = 0;
-    std::array<std::int64_t, 4> extents{};
-    std::uint64_t raw_bytes = 0;
-  };
-
   int full_every_;
   std::int64_t base_ = -1;
   std::int64_t last_ = -1;
   std::uint64_t chain_seq_ = 0;
-  std::map<std::string, Prev, std::less<>> prev_;
+  std::map<std::string, ManifestEntry, std::less<>> prev_;  // last plan
 };
 
 /// Compress + commit a planned generation to `path` (a ring generation
@@ -181,10 +180,10 @@ GenStats write_generation(const std::string& path,
                           const GenerationPlan& plan,
                           std::uint64_t fingerprint, std::int64_t step);
 
-/// Resolve a committed generation (base or delta) into a flat section
-/// set. All referenced sibling generations are opened, validated and
-/// decoded in the constructor; chunked particle sections are reassembled
-/// into the canonical "sp<i>.p" names. Failures throw typed
+/// Resolve a committed generation (plain, chain base or delta) into a
+/// flat section set. All referenced sibling generations are opened,
+/// validated and decoded in the constructor; chunked particle sections are
+/// reassembled into the canonical "sp<i>.p" names. Failures throw typed
 /// ckpt::RestoreError so ring fallback logic works unchanged.
 class ChainReader : public ckpt::SectionSource {
  public:
@@ -200,15 +199,14 @@ class ChainReader : public ckpt::SectionSource {
   }
   [[nodiscard]] std::int64_t step() const noexcept override { return step_; }
 
+  /// The generation's ela.meta; for a plain file, a full generation that
+  /// is its own base, numbered by its ring path (-1 off-ring).
   [[nodiscard]] const ElaMeta& meta() const noexcept { return meta_; }
-  /// Generations (including this one) the resolution touched.
+  /// Generations (including this one) the resolution touched, each read
+  /// once; a plain file touches only itself.
   [[nodiscard]] const std::vector<std::int64_t>& sources() const noexcept {
     return sources_;
   }
-
-  /// Does `path` name a chain generation? (Cheap envelope probe; false
-  /// for plain checkpoints and unreadable files.)
-  static bool is_chain_file(const std::string& path) noexcept;
 
  private:
   void reassemble_particles();
@@ -220,10 +218,14 @@ class ChainReader : public ckpt::SectionSource {
   std::vector<std::int64_t> sources_;
 };
 
-/// Chain-aware pruning: keep the newest `keep_chains` complete chains in
+/// The one ring prune: keep the newest `keep_chains` complete chains in
 /// the ring and remove every generation of older chains — never orphaning
-/// a delta whose base was pruned. Plain (non-chain) generations count as
-/// single-generation chains. Returns the number of files removed.
+/// a delta whose base was pruned. Plain generations (and unreadable
+/// files) count as single-generation chains, so a plain ring keeps its
+/// newest `keep_chains` files. Generations are classified from their
+/// envelope and 48-byte ela.meta alone; no other payload is read. Only
+/// committed files are touched, so it is safe while an async writer is
+/// still committing. Returns the number of files removed.
 std::size_t prune_chains(const std::string& ring_base, int keep_chains);
 
 }  // namespace vpic::elastic

@@ -156,10 +156,8 @@ void Scheduler::submit(JobSpec spec) {
   job->submitted = clock_t_::now();
   // A ring with committed generations means a previous farm (or run) was
   // interrupted: the first slice restores and continues from it.
-  job->has_ckpt = !ckpt::GenerationRing(job->ring_base,
-                                        job->spec.ckpt_keep_last)
-                       .generations()
-                       .empty();
+  job->has_ckpt =
+      !ckpt::GenerationRing(job->ring_base).generations().empty();
   // Start at the minimum live virtual time: prompt service without
   // letting a latecomer replay the head start others already consumed.
   double vmin = std::numeric_limits<double>::infinity();
@@ -213,9 +211,7 @@ void Scheduler::park_to_ring(Job& j) {
     std::error_code ec;
     fs::create_directories(base.parent_path(), ec);
   }
-  ckpt::GenerationRing ring(j.ring_base, j.spec.ckpt_keep_last);
-  j.sim->checkpoint(ring.path_for(ring.next_generation()));
-  ring.prune();
+  j.sim->checkpoint_to_ring(j.ring_base, j.spec.ckpt_keep_last);
   j.sim.reset();
 }
 
@@ -381,7 +377,7 @@ void Scheduler::finalize_locked(Job& j, JobState terminal,
   j.latency_s =
       std::chrono::duration<double>(clock_t_::now() - j.submitted).count();
   if (terminal == JobState::Cancelled && j.drop_ckpt_on_cancel) {
-    ckpt::GenerationRing(j.ring_base, j.spec.ckpt_keep_last).purge();
+    ckpt::GenerationRing(j.ring_base).purge();
     j.has_ckpt = false;
   }
   cv_state_.notify_all();

@@ -88,7 +88,7 @@ class World {
           if (msg.size() > capacity)
             throw std::length_error(
                 "minimpi: message larger than recv buffer");
-          std::memcpy(buf, msg.data(), msg.size());
+          if (!msg.empty()) std::memcpy(buf, msg.data(), msg.size());
           return msg.size();
         }
         mail_cv_.wait_until(lk, front.ready);

@@ -5,7 +5,7 @@
 //   * checkpoint file envelope + typed corruption detection — every
 //     FaultInjector mode is pinned to the RestoreError kind restore must
 //     classify it as,
-//   * generation ring naming/pruning and corrupt-newest fallback,
+//   * generation ring naming/parsing, pruning and corrupt-newest fallback,
 //   * bit-identical resume: 50 steps + checkpoint + restore + 50 steps
 //     equals 100 uninterrupted steps on the LPI deck,
 //   * async snapshots: file bytes identical to a sync checkpoint taken at
@@ -23,10 +23,12 @@
 
 #include "ckpt/ckpt.hpp"
 #include "core/core.hpp"
+#include "elastic/elastic.hpp"
 #include "minimpi/minimpi.hpp"
 
 namespace core = vpic::core;
 namespace ckpt = vpic::ckpt;
+namespace elastic = vpic::elastic;
 namespace mpi = vpic::mpi;
 namespace pk = vpic::pk;
 namespace fs = std::filesystem;
@@ -214,6 +216,12 @@ TEST(Serialize, ShapeMismatchesAreTyped) {
   // Destination too small.
   pk::View<float, 1> tiny("tiny", 4);
   EXPECT_EQ(thrown_kind([&] { ckpt::decode_view_into(s, tiny); }),
+            ckpt::RestoreErrorKind::ShapeMismatch);
+  // A crafted negative extent whose byte count wraps to the real payload
+  // size must not pass the size check and overflow the destination.
+  auto wrapped = s;
+  wrapped.extents[0] = 8 - (std::int64_t{1} << 62);  // * 4 B == 32 mod 2^64
+  EXPECT_EQ(thrown_kind([&] { ckpt::decode_view_into(wrapped, tiny); }),
             ckpt::RestoreErrorKind::ShapeMismatch);
 }
 
@@ -414,7 +422,7 @@ TEST(Corruption, WrappingTableOffsetDetected) {
 
 TEST(Ring, NamingAndNextGeneration) {
   const auto dir = scratch("ring_names");
-  ckpt::GenerationRing ring((dir / "ck").string(), 3);
+  ckpt::GenerationRing ring((dir / "ck").string());
   EXPECT_EQ(ring.path_for(0), (dir / "ck.g0").string());
   EXPECT_EQ(ring.path_for(12), (dir / "ck.g12").string());
   EXPECT_TRUE(ring.generations().empty());
@@ -423,19 +431,29 @@ TEST(Ring, NamingAndNextGeneration) {
   write_sample(ring.path_for(3));
   EXPECT_EQ(ring.generations(), (std::vector<std::uint64_t>{0, 3}));
   EXPECT_EQ(ring.next_generation(), 4u);
+
+  // parse() is the one reader of the naming, inverse of path_for().
+  const auto m = ckpt::GenerationRing::parse(ring.path_for(12));
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->ring.base(), ring.base());
+  EXPECT_EQ(m->generation, 12u);
+  for (const char* other : {"ck.g12.tmp", "ck.g", "ck.gx1", "one.ckpt"})
+    EXPECT_FALSE(ckpt::GenerationRing::parse((dir / other).string()))
+        << other;
 }
 
 TEST(Ring, PruneKeepsNewestAndRemovesStaleTmp) {
   const auto dir = scratch("ring_prune");
-  ckpt::GenerationRing ring((dir / "ck").string(), 2);
+  ckpt::GenerationRing ring((dir / "ck").string());
   for (std::uint64_t g = 0; g < 5; ++g) write_sample(ring.path_for(g));
   {
     std::ofstream tmp(ring.path_for(9) + ".tmp");
     tmp << "stale";
   }
-  // prune() touches only committed generations: a .tmp file (possibly an
-  // async commit in flight) must survive it...
-  ring.prune();
+  // The prune touches only committed generations — each plain file a
+  // chain of one: a .tmp file (possibly an async commit in flight) must
+  // survive it...
+  EXPECT_EQ(elastic::prune_chains(ring.base(), 2), 3u);
   EXPECT_EQ(ring.generations(), (std::vector<std::uint64_t>{3, 4}));
   EXPECT_TRUE(fs::exists(ring.path_for(9) + ".tmp"));
   // ...and the explicit stale sweep (run only at quiescence) removes it.
@@ -451,7 +469,7 @@ TEST(Ring, PruneKeepsNewestAndRemovesStaleTmp) {
 TEST(Ring, RestoreLatestIgnoresDanglingTmpFromCancelledSnapshot) {
   const auto dir = scratch("dangling_tmp");
   const std::string base = (dir / "ck").string();
-  ckpt::GenerationRing ring(base, 3);
+  ckpt::GenerationRing ring(base);
 
   auto ref = make_lpi_small();
   auto victim = make_lpi_small();
@@ -479,8 +497,8 @@ TEST(Ring, RestoreLatestIgnoresDanglingTmpFromCancelledSnapshot) {
 // the other ("a" vs "ab").
 TEST(Ring, SiblingRingsInOneDirectoryAreIsolated) {
   const auto dir = scratch("siblings");
-  ckpt::GenerationRing a((dir / "a").string(), 2);
-  ckpt::GenerationRing ab((dir / "ab").string(), 2);
+  ckpt::GenerationRing a((dir / "a").string());
+  ckpt::GenerationRing ab((dir / "ab").string());
   for (std::uint64_t g = 0; g < 5; ++g) {
     write_sample(a.path_for(g));
     write_sample(ab.path_for(g));
@@ -490,8 +508,9 @@ TEST(Ring, SiblingRingsInOneDirectoryAreIsolated) {
     tmp << "stale";
   }
 
-  a.prune();
+  elastic::prune_chains(a.base(), 2);
   EXPECT_EQ(a.generations(), (std::vector<std::uint64_t>{3, 4}));
+  EXPECT_TRUE(fs::exists(a.path_for(7) + ".tmp"));  // prune leaves tmps
   EXPECT_EQ(ab.generations(), (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
 
   // Purging "a" removes its 2 generations + 1 stale tmp, nothing of "ab".
@@ -633,7 +652,7 @@ TEST(SimCkpt, CorruptRestoreLeavesStateUntouched) {
 TEST(SimCkpt, RestoreLatestFallsBackPastCorruptGeneration) {
   const auto dir = scratch("fallback");
   const std::string base = (dir / "ck").string();
-  ckpt::GenerationRing ring(base, 3);
+  ckpt::GenerationRing ring(base);
 
   auto sim = make_lpi_small();
   sim.run(10);
@@ -697,7 +716,7 @@ TEST(SimCkpt, PeriodicRingUnderBothSchedulers) {
     sim.run(22);  // checkpoints at steps 5, 10, 15, 20
     sim.checkpoint_wait();
     EXPECT_EQ(sim.checkpoints_written(), 4);
-    ckpt::GenerationRing ring((dir / "ck").string(), 2);
+    ckpt::GenerationRing ring((dir / "ck").string());
     EXPECT_EQ(ring.generations(), (std::vector<std::uint64_t>{2, 3}));
 
     auto fresh = make_lpi_small();
@@ -727,7 +746,7 @@ TEST(SimCkpt, PeriodicRingAsyncKeepsEveryGenerationDistinct) {
   EXPECT_EQ(sim.checkpoints_written(), 10);
 
   // Every submitted generation landed as its own committed file.
-  ckpt::GenerationRing ring((dir / "ck").string(), 100);
+  ckpt::GenerationRing ring((dir / "ck").string());
   EXPECT_EQ(ring.generations(),
             (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 

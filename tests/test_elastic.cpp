@@ -8,7 +8,10 @@
 //   * generation-ring purge/sweep over chains: restore_latest falls back
 //     across a corrupted mid-chain delta (and across a whole broken
 //     chain) to the previous complete recovery point; prune_chains
-//     retires chains wholesale, never orphaning a delta from its base,
+//     retires chains wholesale, never orphaning a delta from its base
+//     (also when a ring switches from chains to plain generations),
+//   * the reader's I/O contract: a restore opens each generation it
+//     resolves once, a prune reads only envelopes and ela.meta,
 //   * N→M restart: a 4-rank distributed checkpoint restored on 1, 2, 3
 //     and 8 ranks via Redecomposer — per-voxel interior fields and
 //     canonically-ordered particle state byte-equal to the same-rank
@@ -17,6 +20,7 @@
 //     on checkpoint and at module destruction, without duplication.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +35,7 @@
 #include "core/tracer.hpp"
 #include "elastic/elastic.hpp"
 #include "minimpi/minimpi.hpp"
+#include "prof/prof.hpp"
 
 namespace core = vpic::core;
 namespace ckpt = vpic::ckpt;
@@ -222,8 +227,12 @@ TEST(Chain, IncrementalRingResumeIsBitIdentical) {
   EXPECT_GE(stats.stored_raw_bytes, stats.stored_bytes);
 
   // The newest generation is a delta: restoring it walks the chain.
-  ckpt::GenerationRing ring(base, 8);
-  EXPECT_TRUE(elastic::ChainReader::is_chain_file(ring.path_for(2)));
+  ckpt::GenerationRing ring(base);
+  {
+    elastic::ChainReader g2(ring.path_for(2));
+    EXPECT_EQ(g2.meta().kind, elastic::kKindDelta);
+    EXPECT_GE(g2.sources().size(), 2u);  // reaches back into its chain
+  }
   auto resumed = make_lpi_small();
   const std::string used = resumed.restore_latest(base);
   EXPECT_EQ(used, ring.path_for(3));
@@ -275,7 +284,10 @@ TEST(Chain, PlainPathsStayPlainWithIncrementalOn) {
   sim.config().checkpoint_incremental = true;
   sim.run(4);
   sim.checkpoint(path);
-  EXPECT_FALSE(elastic::ChainReader::is_chain_file(path));
+  // A plain file resolves through itself alone, and carries no ring
+  // generation number (-1) because it sits off any ring.
+  EXPECT_EQ(elastic::ChainReader(path).sources(),
+            std::vector<std::int64_t>{-1});
   auto resumed = make_lpi_small();
   resumed.restore(path);
   EXPECT_EQ(resumed.step_count(), 4);
@@ -291,7 +303,7 @@ core::Simulation build_two_chains(const std::string& base) {
   auto sim = make_lpi_small();
   sim.config().checkpoint_incremental = true;
   sim.config().checkpoint_full_every = 3;
-  ckpt::GenerationRing ring(base, 16);
+  ckpt::GenerationRing ring(base);
   sim.run(4);
   sim.checkpoint(ring.path_for(0));  // full
   sim.run(2);
@@ -312,7 +324,7 @@ TEST(Chain, FallbackAcrossCorruptMidChainDeltaAndBrokenChain) {
   const auto dir = scratch("fallback");
   const std::string base = (dir / "ck").string();
   build_two_chains(base);
-  ckpt::GenerationRing ring(base, 16);
+  ckpt::GenerationRing ring(base);
 
   // Sanity: the newest generation resolves through its siblings.
   {
@@ -350,7 +362,7 @@ TEST(Chain, PruneRetiresWholeChains) {
   const auto dir = scratch("prune");
   const std::string base = (dir / "ck").string();
   build_two_chains(base);
-  ckpt::GenerationRing ring(base, 16);
+  ckpt::GenerationRing ring(base);
   ASSERT_EQ(ring.generations(),
             (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5}));
 
@@ -370,6 +382,57 @@ TEST(Chain, PruneRetiresWholeChains) {
   EXPECT_EQ(resumed.step_count(), 12);
 }
 
+TEST(Chain, RestoreReadsEachFileOnceAndPruneReadsNoPayloads) {
+  // The I/O contract of the one reader and the one prune, read from the
+  // always-on "ckpt.files_opened" / "ckpt.bytes_read" counters.
+  const auto dir = scratch("io_counts");
+  const std::string base = (dir / "ck").string();
+  auto sim = build_two_chains(base);  // chains {g0,g1,g2}, {g3,g4,g5}
+  sim.config().checkpoint_incremental = false;
+  const ckpt::GenerationRing ring(base);
+  sim.checkpoint(ring.path_for(6));  // plain: a chain of one
+
+  const auto opened = [] {
+    return vpic::prof::counter_value("ckpt.files_opened");
+  };
+  const auto read = [] { return vpic::prof::counter_value("ckpt.bytes_read"); };
+
+  for (const std::uint64_t g : {5u, 6u}) {
+    SCOPED_TRACE("restore of generation " + std::to_string(g));
+    const std::string path = ring.path_for(g);
+    const auto sources = elastic::ChainReader(path).sources();
+    std::uint64_t source_bytes = 0;
+    for (const std::int64_t s : sources)
+      source_bytes += fs::file_size(ring.path_for(static_cast<std::uint64_t>(s)));
+    auto r = make_lpi_small();
+    const auto opened0 = opened();
+    const auto read0 = read();
+    r.restore(path);
+    EXPECT_EQ(opened() - opened0, sources.size());  // each file opened once
+    EXPECT_LE(read() - read0, source_bytes);        // and read at most once
+    if (g == 6) {
+      EXPECT_EQ(sources, std::vector<std::int64_t>{6});
+    }
+  }
+
+  // The prune reads each generation's header, table and (for chain
+  // files) its 48-byte ela.meta — nothing else.
+  std::uint64_t envelope_bytes = 0;
+  for (const std::uint64_t g : ring.generations()) {
+    ckpt::FileReader f(ring.path_for(g));
+    envelope_bytes += sizeof(ckpt::FileHeader) +
+                      f.section_count() * sizeof(ckpt::SectionRecord) +
+                      (f.has(elastic::kMetaSection) ? sizeof(elastic::ElaMeta)
+                                                    : 0);
+  }
+  const auto opened0 = opened();
+  const auto read0 = read();
+  EXPECT_EQ(elastic::prune_chains(base, 2), 3u);  // chain {g0,g1,g2} goes
+  EXPECT_EQ(opened() - opened0, 7u);
+  EXPECT_EQ(read() - read0, envelope_bytes);
+  EXPECT_EQ(ring.generations(), (std::vector<std::uint64_t>{3, 4, 5, 6}));
+}
+
 TEST(Chain, PeriodicRingPrunesByChainNotByFile) {
   // keep_last=2 under incremental mode means two *chains*; with
   // full_every=2 and 8 periodic generations the ring must never hold a
@@ -383,12 +446,45 @@ TEST(Chain, PeriodicRingPrunesByChainNotByFile) {
   sim.config().checkpoint_incremental = true;
   sim.config().checkpoint_full_every = 2;
   sim.run(16);  // generations 0..7, chains {0,1},{2,3},{4,5},{6,7}
-  ckpt::GenerationRing ring(base, 2);
+  ckpt::GenerationRing ring(base);
   EXPECT_EQ(ring.generations(), (std::vector<std::uint64_t>{4, 5, 6, 7}));
 
   auto resumed = make_lpi_small();
   EXPECT_EQ(resumed.restore_latest(base), ring.path_for(7));
   EXPECT_EQ(resumed.step_count(), 16);
+}
+
+TEST(Chain, TurningIncrementalOffNeverOrphansARetainedDelta) {
+  // A ring that switches from chains to plain generations mid-run: a
+  // file-count prune at keep_last=2 would keep the delta g2 and delete
+  // its base g0. The one chain-aware prune counts {g0,g1,g2} and {g3} as
+  // two chains, so every retained generation still restores.
+  const auto dir = scratch("inc_off_prune");
+  const std::string base = (dir / "ck").string();
+  auto sim = make_lpi_small();
+  sim.config().checkpoint_every = 2;
+  sim.config().checkpoint_path = base;
+  sim.config().checkpoint_keep_last = 2;
+  sim.config().checkpoint_incremental = true;
+  sim.config().checkpoint_full_every = 8;
+  sim.run(6);  // g0 full, g1 and g2 deltas
+  const auto stats = sim.elastic_ckpt_stats();
+  EXPECT_EQ(stats.full_generations, 1);
+  EXPECT_EQ(stats.delta_generations, 2);
+
+  sim.config().checkpoint_incremental = false;
+  sim.run(2);  // g3 plain, then the prune
+  ckpt::GenerationRing ring(base);
+  const auto gens = ring.generations();
+  ASSERT_FALSE(gens.empty());
+  EXPECT_EQ(gens.back(), 3u);
+  EXPECT_NE(std::find(gens.begin(), gens.end(), 2u), gens.end());
+  for (const std::uint64_t g : gens) {
+    SCOPED_TRACE("generation " + std::to_string(g));
+    auto r = make_lpi_small();
+    EXPECT_NO_THROW(r.restore(ring.path_for(g)));
+    EXPECT_EQ(r.step_count(), 2 * static_cast<std::int64_t>(g + 1));
+  }
 }
 
 // ---- N→M restart ------------------------------------------------------
