@@ -11,7 +11,7 @@
 //     1-worker and a 4-worker pool at a fixed tile count (voxel-keyed RNG
 //     streams make the scatter sequence a pure function of the step, not
 //     the schedule). Exits nonzero on any divergence.
-//  2. Collision phase cost: an untiled Graph run times every phase; the
+//  2. Collision phase cost: a one-tile Graph run times every phase; the
 //     summed collide[...] seconds give the absolute cost per step and
 //     the fraction of the whole step the collision operator adds.
 //  3. Modeled makespans: per-tile collide task costs are *measured* on a
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
                 check_steps);
   }
 
-  // -- 2. collision phase cost (untiled, every phase timed) -------------
+  // -- 2. collision phase cost (one tile, every phase timed) ------------
   double collide_s = 0, total_s = 0;
   std::uint64_t pairs = 0;
   {

@@ -67,29 +67,25 @@ std::string species_prefix(std::size_t i) {
 /// (docs/ELASTIC.md) when a species has no usable tile partition.
 constexpr index_t kChunkParticles = 16384;
 
+/// The species' particles are split into more than one tile whose ranges
+/// cover [0, np). One tile partitions nothing: a restore re-derives it
+/// exactly, and the incremental layout keeps its fixed-size chunks.
+bool has_tile_partition(const Species& sp) {
+  return sp.tiles.size() > 1 &&
+         tiles_cover(sp, static_cast<int>(sp.tiles.size()));
+}
+
 /// Chunk ranges over [0, np) for the incremental particle layout: the
-/// species' tile slots when they exactly partition the live range
+/// species' tile slots when they partition the live range
 /// (tile-granular dirty tracking — a delta stores only the tiles whose
 /// payload hash moved), fixed kChunkParticles blocks otherwise. Always at
 /// least one (possibly empty) chunk, so the reassembled section keeps its
 /// element size.
 std::vector<std::pair<index_t, index_t>> particle_chunks(const Species& sp) {
   std::vector<std::pair<index_t, index_t>> r;
-  if (!sp.tiles.empty()) {
-    index_t at = 0;
-    bool contiguous = true;
-    for (const TileSlot& t : sp.tiles) {
-      if (t.begin != at || t.end < t.begin) {
-        contiguous = false;
-        break;
-      }
-      at = t.end;
-    }
-    if (contiguous && at == sp.np) {
-      for (const TileSlot& t : sp.tiles) r.emplace_back(t.begin, t.end);
-      if (r.empty()) r.emplace_back(0, 0);
-      return r;
-    }
+  if (has_tile_partition(sp)) {
+    for (const TileSlot& t : sp.tiles) r.emplace_back(t.begin, t.end);
+    return r;
   }
   for (index_t at = 0; at < sp.np; at += kChunkParticles)
     r.emplace_back(at, std::min(sp.np, at + kChunkParticles));
@@ -99,7 +95,8 @@ std::vector<std::pair<index_t, index_t>> particle_chunks(const Species& sp) {
 
 // The engine-state section set is shared between the single-node and the
 // per-rank distributed checkpoints: fields, interpolator, accumulator,
-// and every species (particles + metadata + name). With `chunked` set
+// and every species (particles + metadata + name, plus "sp<i>.tile_ends"
+// when the species is split into several tiles). With `chunked` set
 // (the incremental path, docs/ELASTIC.md) each species' particle payload
 // is split into "sp<i>.c<k>.p" chunk sections plus an "sp<i>.nchunks"
 // count instead of the monolithic "sp<i>.p" — elastic::ChainReader
@@ -133,6 +130,16 @@ void add_engine_sections(ckpt::FileWriter& w, const FieldArray& f,
     meta.steps_since_sort = sp.steps_since_sort;
     meta.cell_sorted_hint = sp.cell_sorted_hint ? 1 : 0;
     w.add_pod(pfx + "meta", meta);
+    // Optional: the tile ranges, as each tile's end index. Between sorts
+    // they depend on where the last bucketing left drifting particles, so
+    // a restore that re-bucketed would regroup deposits (docs/TILES.md,
+    // "Checkpoints"). Files without the section restore by re-bucketing.
+    if (has_tile_partition(sp)) {
+      std::vector<std::int64_t> ends;
+      ends.reserve(sp.tiles.size());
+      for (const TileSlot& t : sp.tiles) ends.push_back(t.end);
+      w.add_vector(pfx + "tile_ends", ends);
+    }
     // Prefix-encode: only the np live records, not the slack capacity.
     // The on-disk particle stream is the canonical packed AoS record for
     // every layout, so the file format (and its CRCs) is layout-invariant
@@ -217,6 +224,20 @@ void read_engine_sections(ckpt::SectionSource& f, FieldArray& fld,
       throw ckpt::RestoreError(ckpt::RestoreErrorKind::ShapeMismatch,
                                "metadata of species '" + sp.name +
                                    "' disagrees with its particles or deck");
+    std::vector<std::int64_t> tile_ends;
+    if (f.has(pfx + "tile_ends")) {
+      tile_ends = f.vector<std::int64_t>(pfx + "tile_ends");
+      std::int64_t at = 0;
+      bool ok = !tile_ends.empty() && tile_ends.back() == meta.np;
+      for (const std::int64_t e : tile_ends) {
+        ok = ok && e >= at;
+        at = e;
+      }
+      if (!ok)
+        throw ckpt::RestoreError(ckpt::RestoreErrorKind::ShapeMismatch,
+                                 "tile ranges of species '" + sp.name +
+                                     "' do not cover its particles");
+    }
     if (meta.np > sp.capacity())
       sp.p = ParticleStore("particles_" + sp.name, meta.np, sp.p.layout());
     if (sp.p.layout() == ParticleLayout::AoS) {
@@ -234,6 +255,16 @@ void read_engine_sections(ckpt::SectionSource& f, FieldArray& fld,
     sp.cell_sorted_hint = meta.cell_sorted_hint != 0;
     // The reorder scratch and run segmentation are rebuilt on demand.
     sp.push_runs.clear();
+    // Tiles share the species' sortedness (they age and sort together).
+    sp.tiles.assign(tile_ends.size(), TileSlot{});
+    index_t begin = 0;
+    for (std::size_t t = 0; t < tile_ends.size(); ++t) {
+      TileSlot& slot = sp.tiles[t];
+      slot.begin = begin;
+      slot.end = begin = static_cast<index_t>(tile_ends[t]);
+      slot.sorted_hint = sp.cell_sorted_hint;
+      slot.steps_since_sort = sp.steps_since_sort;
+    }
   }
 }
 
@@ -564,7 +595,8 @@ void Simulation::restore(const std::string& path) {
   // (restore may land on any generation): start a fresh chain.
   if (elastic_tracker_) elastic_tracker_->invalidate();
   // The restored particle arrays replace whatever the tile ranges pointed
-  // at: force a re-bucket before the next tiled step (docs/TILES.md).
+  // at: the next step keeps the restored ranges if they fit its tile map
+  // and re-buckets otherwise (docs/TILES.md).
   tiles_dirty_ = true;
 }
 

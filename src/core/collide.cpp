@@ -161,85 +161,60 @@ void CollisionModule::plan(Simulation& sim, const ModuleStepContext& ctx,
                                        std::int64_t next_step) {
     Species& sa = sim.species(a);
     Species& sb = sim.species(b);
-    index_t ab = 0, ae = sa.np, bb = 0, be = sb.np;
-    if (t >= 0) {
-      const auto& slot_a = sa.tiles[static_cast<std::size_t>(t)];
-      ab = slot_a.begin;
-      ae = slot_a.end;
-      const auto& slot_b = sb.tiles[static_cast<std::size_t>(t)];
-      bb = slot_b.begin;
-      be = slot_b.end;
-    }
+    const auto& slot_a = sa.tiles[static_cast<std::size_t>(t)];
+    const auto& slot_b = sb.tiles[static_cast<std::size_t>(t)];
     const std::uint64_t pair_key = a * 1024 + b;
     const CollisionStats st = collide_range(
-        sa, sb, sim.grid(), prm_, ab, ae, bb, be,
-        static_cast<std::uint64_t>(next_step), pair_key, rng_);
+        sa, sb, sim.grid(), prm_, slot_a.begin, slot_a.end, slot_b.begin,
+        slot_b.end, static_cast<std::uint64_t>(next_step), pair_key, rng_);
     pairs_.fetch_add(st.pairs, std::memory_order_relaxed);
     cells_.fetch_add(st.cells, std::memory_order_relaxed);
     prof::counter_add("collide.pairs", st.pairs);
   };
 
   auto part_res = [&sim](std::size_t s, int t) {
-    std::string r = "particles." + sim.species(s).name;
-    if (t >= 0) r += ".t" + std::to_string(t);
-    return r;
+    return "particles." + sim.species(s).name + ".t" + std::to_string(t);
   };
   auto pair_name = [&sim](std::size_t a, std::size_t b, int t) {
-    std::string n =
-        "collide[" + sim.species(a).name + ":" + sim.species(b).name;
-    if (t >= 0) n += ".t" + std::to_string(t);
-    return n + "]";
+    return "collide[" + sim.species(a).name + ":" + sim.species(b).name +
+           ".t" + std::to_string(t) + "]";
   };
 
-  if (!ctx.tiled) {
-    for (const auto& [a, b] : pairs) {
-      std::vector<std::string> wr{part_res(a, -1)};
-      if (b != a) wr.push_back(part_res(b, -1));
-      c.add_spine({pair_name(a, b, -1),
-                   {},
-                   std::move(wr),
-                   [phase_body, a = a, b = b, ns = ctx.next_step] {
-                     phase_body(a, b, -1, ns);
-                   }});
-    }
-  } else {
-    // One task per (pair, tile). Tiles are independent (their particle
-    // index ranges are disjoint and cell streams are voxel-keyed);
-    // same-tile tasks of pairs sharing a species are chained in pair
-    // order. Each pair's population scales the LPT cost hint.
-    const int nt = ctx.tiles->count();
-    const auto poll = ctx.poll;
-    for (int t = 0; t < nt; ++t) {
-      std::vector<std::string> planned;  // same-tile pair phases, in order
-      for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
-        const auto [a, b] = pairs[pi];
-        const std::string name = pair_name(a, b, t);
-        std::vector<std::string> wr{part_res(a, t)};
-        if (b != a) wr.push_back(part_res(b, t));
-        const double cost =
-            static_cast<double>(
-                sim.species(a).tiles[static_cast<std::size_t>(t)].count() +
-                sim.species(b).tiles[static_cast<std::size_t>(t)].count()) *
-            2e-8;
-        c.add_branch({name,
-                      {},
-                      std::move(wr),
-                      [phase_body, poll, a = a, b = b, t,
-                       ns = ctx.next_step] {
-                        poll();
-                        phase_body(a, b, t, ns);
-                      },
-                      cost});
-        for (std::size_t pj = 0; pj < pi; ++pj)
-          if (pairs[pj].first == a || pairs[pj].second == a ||
-              pairs[pj].first == b || pairs[pj].second == b)
-            c.edge(planned[pj], name);
-        planned.push_back(name);
-        // Every pair phase joins (join dedups): later spine phases
-        // (diagnostics, ckpt) then order after all of them, not only the
-        // ones the last pair happens to chain from.
-        c.join(name);
-      }
+  // One task per (pair, tile). Tiles are independent (their particle
+  // index ranges are disjoint and cell streams are voxel-keyed);
+  // same-tile tasks of pairs sharing a species are chained in pair
+  // order. Each pair's population scales the LPT cost hint.
+  const int nt = ctx.tiles->count();
+  const auto poll = ctx.poll;
+  for (int t = 0; t < nt; ++t) {
+    std::vector<std::string> planned;  // same-tile pair phases, in order
+    for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
+      const auto [a, b] = pairs[pi];
+      const std::string name = pair_name(a, b, t);
+      std::vector<std::string> wr{part_res(a, t)};
+      if (b != a) wr.push_back(part_res(b, t));
+      const double cost =
+          static_cast<double>(
+              sim.species(a).tiles[static_cast<std::size_t>(t)].count() +
+              sim.species(b).tiles[static_cast<std::size_t>(t)].count()) *
+          2e-8;
+      c.add_branch({name,
+                    {},
+                    std::move(wr),
+                    [phase_body, poll, a = a, b = b, t, ns = ctx.next_step] {
+                      poll();
+                      phase_body(a, b, t, ns);
+                    },
+                    cost});
+      for (std::size_t pj = 0; pj < pi; ++pj)
+        if (pairs[pj].first == a || pairs[pj].second == a ||
+            pairs[pj].first == b || pairs[pj].second == b)
+          c.edge(planned[pj], name);
+      planned.push_back(name);
+      // Every pair phase joins (join dedups): later spine phases
+      // (diagnostics, ckpt) then order after all of them, not only the
+      // ones the last pair happens to chain from.
+      c.join(name);
     }
   }
   steps_.fetch_add(1, std::memory_order_relaxed);

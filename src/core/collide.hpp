@@ -55,9 +55,9 @@ CollisionStats collide_range(Species& sa, Species& sb, const Grid& g,
                              std::uint64_t step, std::uint64_t pair_key,
                              const ModuleRng& rng);
 
-/// The registry module: plans one phase per species pair (per tile when
-/// tiled), ordered into the step at StepStage::Collide — after injection,
-/// before diagnostics/sort — and checkpoints its cumulative counters.
+/// The registry module: plans one phase per (species pair, tile), ordered
+/// into the step at StepStage::Collide — after injection, before
+/// diagnostics/sort — and checkpoints its cumulative counters.
 class CollisionModule final : public PhysicsModule {
  public:
   explicit CollisionModule(CollisionParams prm = {}) : prm_(std::move(prm)) {}

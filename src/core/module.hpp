@@ -3,14 +3,14 @@
 // Composable physics-module registry (docs/MODULES.md): Simulation::step()
 // is no longer a hard-coded pipeline but a composition over registered
 // PhysicsModule objects. Each module declares its step phases — name,
-// read/write resource sets, cost hint, and (when the tiled step is active)
-// a tiled variant — plus its versioned checkpoint sections and its
+// read/write resource sets, cost hint, one task per tile where the work
+// splits by tile — plus its versioned checkpoint sections and its
 // counter-based RNG stream requirements. The core pipeline itself
 // (interpolate, push, accumulate, field advance, injection, diagnostics,
 // sort, checkpoint) is registered through the same interface
 // (core/pipeline_modules.cpp), so build_step_graph is generic
-// composition: one source of truth for every execution shape (Sequential,
-// Graph, tiled).
+// composition: one source of truth for the one step shape, run by either
+// scheduler.
 //
 // This is the seam the plugin-registry PIC architectures (PIConGPU's
 // plugin system, chombo-discharge's physics layers) use to absorb new
@@ -82,15 +82,14 @@ struct ModuleRng {
 };
 
 /// Build-time context handed to PhysicsModule::plan(): which step is being
-/// built and under which execution shape. `poll` is the tile-granular
-/// preemption hook (docs/FARM.md) — tiled phase bodies call it at entry so
-/// a farm yield request is observed within one tile task; it is a no-op in
-/// the untiled shapes.
+/// built and over which tiles (one unless SimulationConfig::tiles asks for
+/// more). `poll` is the tile-granular preemption hook (docs/FARM.md) —
+/// phase bodies call it at entry so a farm yield request is observed
+/// within one tile task.
 struct ModuleStepContext {
   std::int64_t next_step = 0;  // step count once this step completes
-  bool tiled = false;
-  const TileMap* tiles = nullptr;    // valid when tiled
-  std::function<void()> poll;        // no-op when untiled
+  const TileMap* tiles = nullptr;  // the step's tile map, count() >= 1
+  std::function<void()> poll;      // always callable
 };
 
 /// Prefix-scoped writer for a module's checkpoint sections: every section
@@ -180,9 +179,9 @@ class PhysicsModule {
   /// predecessors). Derive RNG domains, seed module-owned particles, etc.
   virtual void attach(Simulation&) {}
 
-  /// Contribute this step's phases. Called every step, in registry order,
-  /// under all execution shapes; `ctx` says which shape is being built.
-  /// A module that is idle this step simply adds nothing.
+  /// Contribute this step's phases. Called every step, in registry order;
+  /// `ctx` carries the step's tile map. A module that is idle this step
+  /// simply adds nothing.
   virtual void plan(Simulation& sim, const ModuleStepContext& ctx,
                     StepComposer& c) = 0;
 

@@ -25,18 +25,17 @@ namespace vpic::core {
 /// (core/tiles.hpp): the contiguous index range the tile owns, its OWN
 /// sortedness tracking (a global counter would let one busy tile's churn
 /// veto the run-aware fast path everywhere — per-tile staleness is what
-/// drives per-tile AutoDetect dispatch), and the per-tile sort/run
-/// scratch buffers so tile tasks never share mutable state.
+/// drives per-tile AutoDetect dispatch), and the per-tile sort histogram
+/// and run scratch so tile tasks never share mutable state.
 struct TileSlot {
   index_t begin = 0, end = 0;  // [begin, end) into the particle array
   bool sorted_hint = false;    // range is voxel-sorted
   int steps_since_sort = -1;   // -1: never tile-sorted
 
-  // Serial per-tile counting-sort scratch (see core/tiles.hpp) and the
-  // run-segmentation scratch of the tile's run-aware push. Persistent so
-  // steady-state re-sorting allocates nothing, like the global path.
-  std::vector<std::uint32_t> keys;
-  std::vector<index_t> perm;
+  // Serial per-tile counting-sort histogram (see core/tiles.hpp; keys and
+  // permutation are the tile's slice of the species' SortWorkspace) and
+  // the run-segmentation scratch of the tile's run-aware push. Persistent
+  // so steady-state re-sorting allocates nothing, like the global path.
   std::vector<index_t> offsets;
   std::vector<sort::CellRun> runs;
 
@@ -77,7 +76,8 @@ struct Species {
   std::vector<sort::CellRun> push_runs;  // reused run-segmentation scratch
 
   // Tile decomposition state (core/tiles.hpp): one slot per tile with the
-  // owned index range and per-tile sortedness. Empty when untiled.
+  // owned index range and per-tile sortedness. Empty before the first
+  // step.
   std::vector<TileSlot> tiles;
 
   /// Called by sort_particles after a reorder: Standard order is the

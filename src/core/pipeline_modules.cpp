@@ -3,11 +3,12 @@
 // The built-in step pipeline, expressed as registered PhysicsModules
 // (docs/MODULES.md): interpolate, push, accumulate, field advance,
 // injection, diagnostics, sort, checkpoint. Simulation::build_step_graph
-// is generic composition over these — one source of truth for the
-// Sequential, Graph, and tiled execution shapes, with phase names, bodies,
-// resource sets, and edges preserved exactly from the pre-registry
-// builders so the composed untiled step is bit-identical to the legacy
-// one (tests/test_step_graph.cpp, tests/test_modules.cpp).
+// is generic composition over these. There is one step shape: (phase x
+// tile) tasks over the step's tile map, which has a single tile unless
+// SimulationConfig::tiles asks for more (docs/TILES.md). Pushes deposit
+// into per-(species, tile) blocks merged in fixed order, so the step is
+// bit-identical under the Sequential and Graph schedulers and across pool
+// widths (tests/test_step_graph.cpp, tests/test_modules.cpp).
 
 #include "core/simulation.hpp"
 
@@ -35,8 +36,8 @@ struct PipelineAccess {
     return s.tile_acc_;
   }
   static std::shared_ptr<std::vector<std::atomic<std::uint32_t>>>&
-  tiled_runs_used(Simulation& s) {
-    return s.tiled_runs_used_;
+  push_runs_used(Simulation& s) {
+    return s.push_runs_used_;
   }
   static bool checkpoint_due(Simulation& s, std::int64_t at_step) {
     return s.checkpoint_due(at_step);
@@ -51,7 +52,7 @@ namespace {
 
 using A = PipelineAccess;
 
-// Cost model of the tiled (phase x tile) tasks: tune-probed generic-push
+// Cost model of the (phase x tile) tasks: tune-probed generic-push
 // seconds/particle (fallback to a nominal value when unprobed) scales tile
 // population into expected task cost; field/interp work scales with
 // voxels. Only relative magnitudes matter — LPT placement ranks tasks, it
@@ -60,22 +61,19 @@ constexpr double kVoxelCost = 1e-9;
 
 std::string tile_suffix(int t) { return ".t" + std::to_string(t); }
 
-std::string part_res(const Species& sp) { return "particles." + sp.name; }
 std::string part_res(const Species& sp, int t) {
   return "particles." + sp.name + tile_suffix(t);
 }
 std::string blk_res(const Species& sp, int t) {
   return "acc." + sp.name + tile_suffix(t);
 }
-std::string push_name(const Species& sp) { return "push[" + sp.name + "]"; }
 std::string push_name(const Species& sp, int t) {
   return "push[" + sp.name + tile_suffix(t) + "]";
 }
 
 // ---------------------------------------------------------------------
-// Gather: interpolator load (per tile when tiled) + accumulator clear.
-// Publishes the "interp_ready" / "acc_ready" anchors later stages order
-// against.
+// Gather: per-tile interpolator load + accumulator clear. Publishes the
+// "interp_ready" / "acc_ready" anchors later stages order against.
 // ---------------------------------------------------------------------
 class GatherModule final : public PhysicsModule {
  public:
@@ -84,16 +82,6 @@ class GatherModule final : public PhysicsModule {
 
   void plan(Simulation& sim, const ModuleStepContext& ctx,
             StepComposer& c) override {
-    if (!ctx.tiled) {
-      c.add({"interpolate",
-             {"fields.eb"},
-             {"interp"},
-             [&sim] { A::interp(sim).load(A::fields(sim)); }});
-      c.add({"acc_clear", {}, {"acc"}, [&sim] { A::acc(sim).clear(); }});
-      c.set_anchor("interp_ready", "interpolate");
-      c.set_anchor("acc_ready", "acc_clear");
-      return;
-    }
     const TileMap& tm = *ctx.tiles;
     const int nt = tm.count();
     const auto poll = ctx.poll;
@@ -134,10 +122,9 @@ class GatherModule final : public PhysicsModule {
 };
 
 // ---------------------------------------------------------------------
-// Push: per-species particle advance. Untiled: chained per-species phases
-// (they share the accumulator and float atomics are not associative).
-// Tiled: per-tile dispatch off the tile's own sortedness, deposits into
-// tile-private blocks.
+// Push: one task per (species, tile), dispatched off the tile's own
+// sortedness, depositing with plain adds into its private block. No two
+// push tasks share a write, so every species and tile pushes concurrently.
 // ---------------------------------------------------------------------
 class PushModule final : public PhysicsModule {
  public:
@@ -149,31 +136,6 @@ class PushModule final : public PhysicsModule {
     auto& species = A::species(sim);
     const std::size_t ns = species.size();
     A::last_push_paths(sim).resize(ns);
-    if (!ctx.tiled) {
-      std::string prev;
-      for (std::size_t s = 0; s < ns; ++s) {
-        const std::string name = push_name(species[s]);
-        c.add({name,
-               {"interp"},
-               {"acc", part_res(species[s])},
-               [&sim, s] {
-                 auto& cfg = A::cfg(sim);
-                 A::last_push_paths(sim)[s] = advance_species(
-                     A::species(sim)[s], A::interp(sim), A::acc(sim),
-                     A::fields(sim).grid, cfg.strategy, {}, cfg.push_path);
-               }});
-        if (s == 0) {
-          c.edge(c.anchor("interp_ready"), name);
-          c.edge(c.anchor("acc_ready"), name);
-        } else {
-          c.edge(prev, name);
-        }
-        prev = name;
-      }
-      c.set_tail(ns ? prev : c.anchor("acc_ready"));
-      return;
-    }
-
     const TileMap& tm = *ctx.tiles;
     const int nt = tm.count();
     const auto poll = ctx.poll;
@@ -184,7 +146,7 @@ class PushModule final : public PhysicsModule {
     }
     auto runs_used =
         std::make_shared<std::vector<std::atomic<std::uint32_t>>>(ns);
-    A::tiled_runs_used(sim) = runs_used;
+    A::push_runs_used(sim) = runs_used;
     for (std::size_t s = 0; s < ns; ++s) {
       for (int t = 0; t < nt; ++t) {
         const std::string name = push_name(species[s], t);
@@ -250,10 +212,9 @@ class PushModule final : public PhysicsModule {
 };
 
 // ---------------------------------------------------------------------
-// Deposit: (tiled: fixed-order merge of the tile-private blocks, then)
-// ghost reduction + accumulator unload into J. The tiled body also ages
-// every species' sortedness once per step, like the untiled
-// advance_species does internally.
+// Deposit: fixed-order merge of the tile-private blocks, then ghost
+// reduction + accumulator unload into J. The body also ages every
+// species' sortedness once per step (the tile push kernels do not).
 // ---------------------------------------------------------------------
 class AccumulateModule final : public PhysicsModule {
  public:
@@ -264,16 +225,6 @@ class AccumulateModule final : public PhysicsModule {
 
   void plan(Simulation& sim, const ModuleStepContext& ctx,
             StepComposer& c) override {
-    if (!ctx.tiled) {
-      c.add_spine({"accumulate",
-                   {"acc"},
-                   {"fields.j"},
-                   [&sim] {
-                     A::acc(sim).reduce_ghosts_periodic();
-                     A::acc(sim).unload(A::fields(sim));
-                   }});
-      return;
-    }
     auto& species = A::species(sim);
     const std::size_t ns = species.size();
     const int nt = ctx.tiles->count();
@@ -311,9 +262,9 @@ class AccumulateModule final : public PhysicsModule {
                    poll();
                    A::acc(sim).reduce_ghosts_periodic();
                    A::acc(sim).unload(A::fields(sim));
-                   // Sortedness ages once per step, like the untiled
-                   // advance_species — here, after every push task and
-                   // before any sort phase resets the counters.
+                   // Sortedness ages once per step, like advance_species
+                   // does — here, after every push task and before any
+                   // sort phase resets the counters.
                    for (auto& sp : A::species(sim)) {
                      sp.mark_order_degraded();
                      for (auto& slot : sp.tiles) slot.mark_order_degraded();
@@ -335,14 +286,12 @@ class FieldModule final : public PhysicsModule {
             StepComposer& c) override {
     const auto poll = ctx.poll;
     const double cost =
-        ctx.tiled
-            ? static_cast<double>(A::fields(sim).grid.nv()) * 3 * kVoxelCost
-            : 1.0;
+        static_cast<double>(A::fields(sim).grid.nv()) * 3 * kVoxelCost;
     c.add_spine({"field_advance",
                  {"fields.j"},
                  {"fields.eb"},
                  [&sim, poll] {
-                   if (poll) poll();
+                   poll();
                    FieldArray& f = A::fields(sim);
                    f.advance_b_half();
                    f.update_ghosts_periodic();
@@ -353,8 +302,8 @@ class FieldModule final : public PhysicsModule {
                  },
                  cost});
     // Orders the fields.eb read-write conflict against the interpolator
-    // load directly; with species the push chain already implies it,
-    // without species it is load-bearing.
+    // load directly; with species the pushes already imply it, without
+    // species it is load-bearing.
     c.edge(c.anchor("interp_ready"), "field_advance");
   }
 };
@@ -376,10 +325,10 @@ class InjectionModule final : public PhysicsModule {
                  {},
                  c.all_resources(),
                  [&sim, poll] {
-                   if (poll) poll();
+                   poll();
                    A::injection_hook(sim)(sim);
                  },
-                 ctx.tiled ? 0.0 : 1.0});
+                 0.0});
   }
 };
 
@@ -401,32 +350,28 @@ class DiagnosticsModule final : public PhysicsModule {
       return;
     auto& species = A::species(sim);
     std::vector<std::string> rd{"fields.eb"};
-    for (const auto& sp : species) {
-      if (!ctx.tiled) {
-        rd.push_back(part_res(sp));
-      } else {
-        for (int t = 0; t < ctx.tiles->count(); ++t)
-          rd.push_back(part_res(sp, t));
-      }
-    }
+    for (const auto& sp : species)
+      for (int t = 0; t < ctx.tiles->count(); ++t)
+        rd.push_back(part_res(sp, t));
     const auto poll = ctx.poll;
     c.add_spine({"diagnostics",
                  std::move(rd),
                  {"diag"},
                  [&sim, poll] {
-                   if (poll) poll();
+                   poll();
                    const auto e = sim.energies();
                    A::history(sim).record(A::step_count(sim), e.field,
                                           e.species);
                  },
-                 ctx.tiled ? 0.0 : 1.0});
+                 0.0});
   }
 };
 
 // ---------------------------------------------------------------------
-// Sort: per-species re-sorts on the configured interval. Untiled: one
-// phase per species, mutually unordered. Tiled: bucket-by-tile, per-tile
-// counting sorts, one finishing swap per species.
+// Sort: per-species re-sorts on the configured interval, mutually
+// unordered across species. One tile: the species sort in the configured
+// order. More tiles: bucket-by-tile, per-tile counting sorts, one
+// finishing swap per species (Standard order only).
 // ---------------------------------------------------------------------
 class SortModule final : public PhysicsModule {
  public:
@@ -439,32 +384,40 @@ class SortModule final : public PhysicsModule {
     if (cfg.sort_interval <= 0 || ctx.next_step % cfg.sort_interval != 0)
       return;
     auto& species = A::species(sim);
-    if (!ctx.tiled) {
+    const int nt = ctx.tiles->count();
+    const auto poll = ctx.poll;
+    if (nt == 1) {
       std::uint32_t tile = cfg.sort_tile;
       if (tile == 0)
         tile =
             static_cast<std::uint32_t>(pk::DefaultExecSpace::concurrency());
-      // Each sort touches only its own species: the phases are mutually
-      // unordered and run concurrently on separate instances.
       for (std::size_t s = 0; s < species.size(); ++s) {
         const std::string name = "sort[" + species[s].name + "]";
         c.add_branch({name,
                       {},
-                      {part_res(species[s])},
-                      [&sim, s, tile] {
+                      {part_res(species[s], 0)},
+                      [&sim, s, tile, poll] {
+                        poll();
                         const auto& cfg2 = A::cfg(sim);
+                        Species& sp = A::species(sim)[s];
                         sort_particles(
-                            A::species(sim)[s], cfg2.sort_order, tile,
+                            sp, cfg2.sort_order, tile,
                             cfg2.seed + static_cast<std::uint64_t>(
                                             A::step_count(sim)),
                             A::fields(sim).grid.nv());
-                      }});
+                        // The one tile spans the species and shares its
+                        // sortedness.
+                        TileSlot& slot = sp.tiles.front();
+                        slot.begin = 0;
+                        slot.end = sp.np;
+                        slot.sorted_hint = sp.cell_sorted_hint;
+                        slot.steps_since_sort = sp.steps_since_sort;
+                      },
+                      static_cast<double>(species[s].np) * kVoxelCost});
         c.join(name);
       }
       return;
     }
-    const int nt = ctx.tiles->count();
-    const auto poll = ctx.poll;
     for (std::size_t s = 0; s < species.size(); ++s) {
       const std::string bname = "sort_bucket[" + species[s].name + "]";
       std::vector<std::string> wr;
@@ -534,10 +487,10 @@ class CheckpointModule final : public PhysicsModule {
                  c.all_resources(),
                  {"ckpt"},
                  [&sim, poll] {
-                   if (poll) poll();
+                   poll();
                    A::checkpoint_to_ring(sim);
                  },
-                 ctx.tiled ? 0.0 : 1.0});
+                 0.0});
   }
 };
 

@@ -152,11 +152,11 @@ void advance_species_runs(Species& sp, const InterpolatorArray& interp,
 
 class TileAccumulator;
 
-/// Serial generic push of particles [n0, n1). Auto/Guided reproduce the
-/// untiled kernels bit for bit on the same iteration order; Manual blocks
-/// W-wide lanes from n0 (few-ulp vs untiled when n0 is not lane-aligned);
-/// AdHoc runs the scalar pipeline (its 4-wide transpose path is not
-/// range-rebasable).
+/// Serial generic push of particles [n0, n1). Auto/Guided reproduce
+/// advance_species' kernels bit for bit on the same iteration order;
+/// Manual blocks W-wide lanes from n0 (few-ulp vs advance_species when n0
+/// is not lane-aligned); AdHoc runs the scalar pipeline (its 4-wide
+/// transpose path is not range-rebasable).
 void advance_range_serial(Species& sp, const InterpolatorArray& interp,
                           TileAccumulator& acc, const Grid& g,
                           VectorStrategy strategy, const MoverOptions& opts,

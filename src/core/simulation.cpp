@@ -74,24 +74,24 @@ PhysicsModule* Simulation::find_module(std::string_view id) {
 
 // ---- step execution --------------------------------------------------
 
-// Every step shape runs the same registry-composed graph: the Sequential
-// scheduler unrolls it on the calling thread in insertion order — which
-// by construction (stage-ordered modules, spine composition) is the
-// legacy serial sequence — and the Graph scheduler and the tiled step run
-// it on the persistent step pool. The untiled graph is bit-identical
-// either way: every conflicting phase pair is path-ordered to match the
-// serial order (tests/test_step_graph.cpp).
+// Every step runs the same registry-composed (phase x tile) graph over
+// the step's tile map — one tile unless SimulationConfig::tiles asks for
+// more (docs/TILES.md). The Graph scheduler runs it on the persistent step
+// pool; the Sequential scheduler unrolls it on the calling thread in
+// insertion order, which by construction (stage-ordered modules, spine
+// composition) is a valid serial order. Pushes deposit into
+// per-(species, tile) blocks merged in fixed order, so both schedulers,
+// every pool width and every OpenMP thread count give the same bits.
 void Simulation::step() {
   prof::ScopedRegion step_region("step");
-  const bool tiled = cfg_.tiles.enabled;
-  if (tiled) ensure_tiles();
-  StepGraph g = build_step_graph(step_count_ + 1, tiled);
+  ensure_tiles();
+  StepGraph g = build_step_graph(step_count_ + 1);
   g.validate();
   // Phase bodies' interval seeds and record timestamps read step_count_
   // post-increment, exactly like the legacy tail.
   ++step_count_;
   pk::StealStats steal;
-  if (!tiled && cfg_.scheduler == StepScheduler::Sequential) {
+  if (cfg_.scheduler == StepScheduler::Sequential) {
     g.execute_serial();
   } else {
     steal = g.execute(step_pool());
@@ -105,7 +105,7 @@ void Simulation::step() {
       sort_seconds_ += st.seconds;  // sort[...], sort_bucket/finish[...]
     }
   }
-  if (tiled) finish_tiled_step(steal);
+  finish_step(steal);
 }
 
 pk::StealPool& Simulation::step_pool() {
@@ -116,68 +116,72 @@ pk::StealPool& Simulation::step_pool() {
   return *step_pool_;
 }
 
-StepGraph Simulation::build_step_graph(std::int64_t next_step, bool tiled) {
+StepGraph Simulation::build_step_graph(std::int64_t next_step) {
   StepGraph g;
   StepComposer c(g);
   ModuleStepContext ctx;
   ctx.next_step = next_step;
-  if (tiled) {
-    ctx.tiled = true;
-    ctx.tiles = &tile_map_;
-    ctx.poll = [this] {
-      if (phase_poll_) phase_poll_();
-    };
-  }
+  ctx.tiles = &tile_map_;
+  ctx.poll = [this] {
+    if (phase_poll_) phase_poll_();
+  };
   for (const auto& m : modules_) m->plan(*this, ctx, c);
   return g;
 }
 
 // ---------------------------------------------------------------------
-// Tiled step (docs/TILES.md): the domain is over-decomposed into z-slab
-// tiles, each (phase x tile) pair is a StepGraph task with declared
-// read/write sets, and the graph runs on the step pool. Tile-private
-// accumulator blocks merged in fixed tile order keep results
-// bit-deterministic run-to-run and across worker counts.
+// Tiles (docs/TILES.md): the domain is over-decomposed into z-slab tiles,
+// each (phase x tile) pair is a StepGraph task with declared read/write
+// sets. Tile-private accumulator blocks merged in fixed tile order keep
+// results bit-deterministic run-to-run and across worker counts.
 // ---------------------------------------------------------------------
 
 void Simulation::ensure_tiles() {
-  const int want =
-      cfg_.tiles.count > 0
-          ? std::clamp(cfg_.tiles.count, 1, fields_.grid.nz)
-          : TileMap::auto_count(
-                fields_.grid,
-                static_cast<int>(
-                    std::max<std::size_t>(1, cfg_.graph_instances)));
-  const bool blocks_ok =
-      tile_acc_.size() == species_.size() &&
-      (species_.empty() || static_cast<int>(tile_acc_.front().size()) == want);
-  if (!tiles_dirty_ && tile_map_.count() == want && blocks_ok) return;
+  int want = 1;
+  if (cfg_.tiles.enabled)
+    want = cfg_.tiles.count > 0
+               ? std::clamp(cfg_.tiles.count, 1, fields_.grid.nz)
+               : TileMap::auto_count(
+                     fields_.grid,
+                     static_cast<int>(
+                         std::max<std::size_t>(1, cfg_.graph_instances)));
+  const bool map_ok = tile_map_.count() == want;
+  bool blocks_ok = map_ok && tile_acc_.size() == species_.size();
+  for (const auto& per_sp : tile_acc_)
+    blocks_ok = blocks_ok && static_cast<int>(per_sp.size()) == want;
+  if (!tiles_dirty_ && blocks_ok) return;
 
-  if (cfg_.sort_order != sort::SortOrder::Standard)
+  if (want > 1 && cfg_.sort_order != sort::SortOrder::Standard)
     throw std::logic_error(
         "tiled step: the per-tile counting sort produces Standard "
         "(voxel-ascending) order; set SimulationConfig::sort_order = "
-        "Standard");
+        "Standard or use one tile");
 
-  tile_map_ = TileMap(fields_.grid, want);
-  for (auto& sp : species_) bucket_by_tile(sp, tile_map_);
-  tile_acc_.assign(species_.size(), {});
-  for (auto& per_sp : tile_acc_) {
-    per_sp.reserve(static_cast<std::size_t>(want));
-    for (int t = 0; t < want; ++t)
-      per_sp.emplace_back(fields_.grid, tile_map_, t);
+  if (!map_ok) tile_map_ = TileMap(fields_.grid, want);
+  // Ranges that still cover the live particles stay as they are: after a
+  // restore they are the writer's ranges (docs/TILES.md, "Checkpoints"),
+  // so the resumed run groups deposits like the uninterrupted one.
+  for (auto& sp : species_)
+    if (!tiles_cover(sp, want)) bucket_by_tile(sp, tile_map_);
+  if (!blocks_ok) {
+    tile_acc_.assign(species_.size(), {});
+    for (auto& per_sp : tile_acc_) {
+      per_sp.reserve(static_cast<std::size_t>(want));
+      for (int t = 0; t < want; ++t)
+        per_sp.emplace_back(fields_.grid, tile_map_, t);
+    }
   }
   tiles_dirty_ = false;
 }
 
-void Simulation::finish_tiled_step(const pk::StealStats& steal) {
+void Simulation::finish_step(const pk::StealStats& steal) {
   // Resolve how per-tile AutoDetect dispatch went (bit per species, set
   // by any tile that took the run-aware path).
   last_push_paths_.resize(species_.size());
-  if (tiled_runs_used_ && tiled_runs_used_->size() == species_.size())
+  if (push_runs_used_ && push_runs_used_->size() == species_.size())
     for (std::size_t s = 0; s < species_.size(); ++s)
       last_push_paths_[s] =
-          (*tiled_runs_used_)[s].load(std::memory_order_relaxed)
+          (*push_runs_used_)[s].load(std::memory_order_relaxed)
               ? PushPath::RunAware
               : PushPath::Generic;
   // A hook that appended particles leaves them outside every tile range:

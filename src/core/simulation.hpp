@@ -55,18 +55,19 @@ double push_cost_per_particle(core::ParticleLayout layout);
 
 namespace vpic::core {
 
-/// How the untiled Simulation::step() is executed (docs/ASYNC.md). When
-/// SimulationConfig::tiles.enabled is set the tiled path
-/// (docs/TILES.md) supersedes this knob.
-///   Graph      — the step is built as a validated StepGraph and run on the
-///                simulation's persistent work-stealing pool; independent
-///                phases (interpolator load vs accumulator clear,
-///                per-species sorts) overlap. Bit-identical to Sequential
-///                by construction: every conflicting phase pair is ordered
-///                to match the serial sequence.
-///   Sequential — the same graph unrolled on the calling thread in the
-///                legacy phase order, kept as the reference schedule the
+/// How Simulation::step()'s (phase x tile) graph is executed
+/// (docs/ASYNC.md).
+///   Graph      — run on the simulation's persistent work-stealing pool;
+///                independent phases (interpolator load vs accumulator
+///                clear, the species' pushes, per-species sorts) overlap.
+///                Pool workers run their kernels on one OpenMP thread each,
+///                so the pool is the only concurrency inside a step.
+///   Sequential — the same graph unrolled on the calling thread in
+///                insertion order; its kernels use the calling thread's
+///                OpenMP team. Kept as the reference schedule the
 ///                equivalence tests compare against.
+/// Both are bit-identical: deposits go to per-(species, tile) blocks
+/// merged in fixed order, whatever ran when.
 enum class StepScheduler : std::uint8_t { Graph, Sequential };
 
 inline const char* to_string(StepScheduler s) noexcept {
@@ -79,14 +80,15 @@ inline const char* to_string(StepScheduler s) noexcept {
   return "?";
 }
 
-/// Tile decomposition of the step (docs/TILES.md). The tiled step runs on
-/// the same pool as the Graph scheduler (SimulationConfig::graph_instances
-/// workers). Excluded from config_fingerprint(): tiling changes scheduling
+/// Tile decomposition of the step (docs/TILES.md). Every step is a
+/// (phase x tile) graph; `enabled = false` means one tile spanning the
+/// domain. Excluded from config_fingerprint(): tiling changes scheduling
 /// and memory grouping, not physics, so checkpoints move freely between
-/// tiled and untiled runs.
+/// tile counts.
 struct TileConfig {
-  bool enabled = false;
-  int count = 0;  // z-slab tiles; 0 = auto (4 x workers, clamped to nz)
+  bool enabled = false;  // false: one tile
+  int count = 0;  // z-slab tiles when enabled; 0 = auto (4 x workers,
+                  // clamped to nz)
 };
 
 struct SimulationConfig {
@@ -107,11 +109,10 @@ struct SimulationConfig {
   std::uint32_t sort_tile = 0; // tiled-strided tile size (0: pick default)
   int energy_interval = 0;     // record energies every N steps (0: off)
   std::uint64_t seed = 42;
-  // Step execution: dependency-graph scheduler by default; Sequential is
-  // the legacy reference order (docs/ASYNC.md).
+  // Step execution: the step pool by default; Sequential unrolls the same
+  // graph on the calling thread (docs/ASYNC.md).
   StepScheduler scheduler = StepScheduler::Graph;
-  // Worker count of the persistent step pool that runs the Graph
-  // scheduler and the tiled step (docs/ASYNC.md).
+  // Worker count of the persistent step pool (docs/ASYNC.md).
   std::size_t graph_instances = 2;
   // Periodic checkpointing (docs/CHECKPOINT.md), off by default: every
   // `checkpoint_every` steps write a generation "<checkpoint_path>.g<N>"
@@ -137,8 +138,8 @@ struct SimulationConfig {
   // every checkpoint and at module destruction; empty disables
   // (docs/MODULES.md, "Tracers").
   std::string tracer_csv_path;
-  // Tile-level task decomposition (docs/TILES.md). When enabled, step()
-  // takes the tiled path on the step pool regardless of `scheduler`.
+  // Tile-level task decomposition (docs/TILES.md): one tile unless
+  // enabled.
   TileConfig tiles;
 };
 
@@ -159,7 +160,7 @@ struct ElasticCkptStats {
   std::uint64_t stored_bytes = 0;
 };
 
-/// Telemetry of the most recent tiled step (docs/TILES.md).
+/// Telemetry of the most recent step's tiles (docs/TILES.md).
 struct TileStepStats {
   int tiles = 0;                    // tile count of the map
   double imbalance = 1.0;           // max/mean particles per tile (worst
@@ -251,8 +252,9 @@ class Simulation {
     return last_push_paths_;
   }
 
-  /// Time spent in advance_species since construction (seconds) — the
-  /// "particle push" runtime metric of the paper's Figs. 4/7.
+  /// Time spent in the step's push phases since construction (seconds,
+  /// summed over tasks) — the "particle push" runtime metric of the
+  /// paper's Figs. 4/7.
   ///
   /// Deprecated: this accessor is kept source-compatible for the existing
   /// benches/tests, but the measurement now comes from the vpic::prof
@@ -286,8 +288,8 @@ class Simulation {
     return energy_history_;
   }
 
-  /// Per-phase timings/placements of the most recent step, whatever its
-  /// shape (Sequential, Graph or tiled).
+  /// Per-phase timings/placements of the most recent step, under either
+  /// scheduler.
   [[nodiscard]] const std::vector<PhaseStats>& last_phase_stats() const {
     return last_phase_stats_;
   }
@@ -300,11 +302,11 @@ class Simulation {
 
   // ---- tile decomposition (docs/TILES.md) ----------------------------
 
-  /// Tile map of the tiled step; count() == 0 before the first tiled
-  /// step (or when tiling is disabled).
+  /// Tile map of the step; count() == 0 before the first step, 1 when
+  /// tiling is disabled.
   [[nodiscard]] const TileMap& tile_map() const { return tile_map_; }
 
-  /// Telemetry of the most recent tiled step: tile count, particle
+  /// Telemetry of the most recent step: tile count, particle
   /// imbalance, steal/idle counters, concurrency peak. Also mirrored as
   /// prof counters (tiles.imbalance_x100, steal.*) so profile_report()
   /// and the farm's per-job status payload carry them.
@@ -313,7 +315,7 @@ class Simulation {
   }
 
   /// Tile-granular poll hook: invoked at every phase boundary of the
-  /// tiled step, on the pool worker running the phase. The farm wires
+  /// step, on the thread running the phase. The farm wires
   /// its preemption check here so a yield request is *observed* within
   /// one tile task instead of one whole step; the step still completes —
   /// a checkpointable boundary — before run_until() actually yields
@@ -428,10 +430,10 @@ class Simulation {
   /// per-(species, tile) accumulator blocks. Idempotent while clean;
   /// restore()/injection growth set tiles_dirty_.
   void ensure_tiles();
-  /// Tile telemetry + re-bucket check after a tiled step.
-  void finish_tiled_step(const pk::StealStats& steal);
-  [[nodiscard]] StepGraph build_step_graph(std::int64_t next_step,
-                                           bool tiled);
+  /// Push-path resolution, tile telemetry and the re-bucket check after a
+  /// step.
+  void finish_step(const pk::StealStats& steal);
+  [[nodiscard]] StepGraph build_step_graph(std::int64_t next_step);
   /// One generation's encoded state (core/checkpoint.cpp).
   struct Snapshot;
   std::shared_ptr<const Snapshot> snapshot(const std::string& path);
@@ -457,9 +459,9 @@ class Simulation {
   double sort_seconds_ = 0;
   std::vector<PhaseStats> last_phase_stats_;
   std::size_t last_concurrency_peak_ = 0;
-  // The one concurrent executor of the step (Graph scheduler and tiled
-  // step), built on first use; heap-owned because the pool is
-  // non-movable and Simulation must stay movable.
+  // The one concurrent executor of the step, built on first use;
+  // heap-owned because the pool is non-movable and Simulation must stay
+  // movable.
   std::unique_ptr<pk::StealPool> step_pool_;
   // ---- tile decomposition state (docs/TILES.md) ----------------------
   TileMap tile_map_;
@@ -470,10 +472,10 @@ class Simulation {
   TileStepStats tile_stats_;
   std::function<void()> phase_poll_;
   // "Any tile took the run-aware path" bits (one atomic per
-  // species), reset by the push module's plan() each tiled step and read
+  // species), reset by the push module's plan() each step and read
   // after execution to resolve last_push_paths_. Heap-shared because the
   // phase closures outlive neither but Simulation must stay movable.
-  std::shared_ptr<std::vector<std::atomic<std::uint32_t>>> tiled_runs_used_;
+  std::shared_ptr<std::vector<std::atomic<std::uint32_t>>> push_runs_used_;
   // ---- physics-module registry (docs/MODULES.md) ---------------------
   std::vector<std::unique_ptr<PhysicsModule>> modules_;
   std::vector<ModuleSectionSkip> last_restore_skips_;

@@ -69,14 +69,28 @@ void TileAccumulator::merge_into(AccumulatorArray& global) const {
   for (const auto& [v, rec] : overflow_) add(global.a(v), rec);
 }
 
+bool tiles_cover(const Species& sp, int count) {
+  if (static_cast<int>(sp.tiles.size()) != count) return false;
+  index_t at = 0;
+  for (const TileSlot& t : sp.tiles) {
+    if (t.begin != at || t.end < t.begin) return false;
+    at = t.end;
+  }
+  return at == sp.np;
+}
+
 void bucket_by_tile(Species& sp, const TileMap& tm) {
   const int nt = tm.count();
   sp.tiles.resize(static_cast<std::size_t>(nt));
   const index_t n = sp.np;
-  if (n <= 1) {
-    // Degenerate: no permute needed (matches the untiled sort's n <= 1
-    // early-out, keeping the ping-pong parity identical). The single
-    // particle, if any, ranges into its owning tile.
+  sort::SortWorkspace& ws = sp.sort_ws;
+  // sort_tile slices the species' key/permutation buffers per tile; size
+  // them here, before the tiles sort concurrently.
+  if (nt > 1) ws.reserve_pairs(n);
+  if (n <= 1 || nt == 1) {
+    // Nothing to permute (matches sort_particles' n <= 1 early-out,
+    // keeping the ping-pong parity identical): every particle ranges
+    // into its owning tile, which is tile 0 when there is only one.
     int home = 0;
     if (n == 1)
       home = dispatch_layout(sp.p, [&](auto a) {
@@ -94,8 +108,6 @@ void bucket_by_tile(Species& sp, const TileMap& tm) {
     return;
   }
   prof::ScopedRegion region("bucket_by_tile");
-  sort::SortWorkspace& ws = sp.sort_ws;
-  ws.reserve_pairs(n);
   sp.cell_keys(ws.keys);
   const std::uint32_t* vox = ws.keys.data();
   std::uint32_t* tkeys = ws.keys_alt.data();
@@ -141,10 +153,13 @@ void sort_tile(Species& sp, const TileMap& tm, int t) {
   if (n <= 0) return;
   const index_t v0 = tm.v_lo(t);
   const index_t bound = tm.v_hi(t) - v0;
-  slot.keys.resize(static_cast<std::size_t>(n));
-  slot.perm.resize(static_cast<std::size_t>(n));
+  // Keys and permutation are this tile's slice [b, b + n) of the species'
+  // workspace (sized by bucket_by_tile); tiles' slices are disjoint.
+  sort::SortWorkspace& ws = sp.sort_ws;
+  assert(ws.keys.size() >= slot.end && ws.perm.size() >= slot.end);
+  std::uint32_t* keys = ws.keys.data() + b;
+  index_t* perm = ws.perm.data() + b;
   slot.offsets.resize(sort::detail::counting_hist_cells(1, bound));
-  std::uint32_t* keys = slot.keys.data();
   dispatch_layout(sp.p, [&](auto a) {
     for (index_t i = 0; i < n; ++i) {
       index_t k = static_cast<index_t>(a.cell(b + i)) - v0;
@@ -156,8 +171,7 @@ void sort_tile(Species& sp, const TileMap& tm, int t) {
   });
   sort::detail::counting_offsets(keys, n, bound, slot.offsets.data(), 1);
   sort::detail::counting_scatter_index(keys, n, bound, slot.offsets.data(), 1,
-                                       slot.perm.data());
-  const index_t* perm = slot.perm.data();
+                                       perm);
   dispatch_layout(sp.p, [&](auto sa) {
     dispatch_layout(scratch, [&](auto da) {
       for (index_t i = 0; i < n; ++i) da.store(b + i, sa.load(b + perm[i]));

@@ -5,7 +5,7 @@
 // the voxel index is (iz * sy + iy) * sx + ix, a tile is a contiguous
 // voxel interval and a cell-sorted particle array is tile-major — so a
 // stable bucket-by-tile plus per-tile stable voxel sorts reproduce the
-// untiled stable voxel sort bit for bit.
+// global stable voxel sort bit for bit.
 //
 // Tiles exist to turn each (phase x tile) pair into a StepGraph task for
 // the step pool (pk/stealing.hpp):
@@ -112,19 +112,25 @@ class TileAccumulator {
   std::map<index_t, Accumulator> overflow_;
 };
 
+/// True when sp.tiles holds `count` slots whose ranges cover [0, sp.np)
+/// contiguously and in order.
+[[nodiscard]] bool tiles_cover(const Species& sp, int count);
+
 /// Stable-partition sp's live particles by tile id (serial counting sort
 /// over tile ids through the ping-pong scratch) and record each tile's
 /// [begin, end) index range in sp.tiles. Because tile ids are monotone in
 /// the voxel index, bucketing a cell-sorted array is the identity
-/// permutation, and bucket + per-tile voxel sorts == the untiled stable
-/// voxel sort. Each tile inherits the species' sortedness hint.
+/// permutation, and bucket + per-tile voxel sorts == the global stable
+/// voxel sort. Each tile inherits the species' sortedness hint. With one
+/// tile (or at most one particle) nothing moves: only the ranges are set.
 void bucket_by_tile(Species& sp, const TileMap& tm);
 
 /// Serial stable counting sort by voxel of tile t's range, gathering into
 /// sp's scratch store at the same offsets (keys rebased to the tile's
-/// voxel interval; scratch buffers live in the tile's TileSlot so tiles
-/// sort concurrently). finish_tile_sort() swaps the ping-pong buffers
-/// once every tile of the species has sorted.
+/// voxel interval). Keys and permutation use the tile's own slice of the
+/// species' SortWorkspace, sized by bucket_by_tile, and the histogram
+/// lives in the TileSlot, so tiles sort concurrently. finish_tile_sort()
+/// swaps the ping-pong buffers once every tile of the species has sorted.
 void sort_tile(Species& sp, const TileMap& tm, int t);
 
 /// Swap the ping-pong stores and mark the species (globally and per tile)

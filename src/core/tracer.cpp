@@ -157,30 +157,25 @@ void TracerModule::plan(Simulation& sim, const ModuleStepContext& ctx,
   csv_path_ = sim.config().tracer_csv_path;
   if (prm_.species >= sim.num_species()) return;
   const Species& sp = sim.species(prm_.species);
+  const int nt = ctx.tiles->count();
   std::vector<std::string> rd{"interp"};
-  if (!ctx.tiled) {
-    rd.push_back("particles." + sp.name);
-  } else {
-    for (int t = 0; t < ctx.tiles->count(); ++t)
-      rd.push_back("particles." + sp.name + ".t" + std::to_string(t));
-  }
+  for (int t = 0; t < nt; ++t)
+    rd.push_back("particles." + sp.name + ".t" + std::to_string(t));
   const auto poll = ctx.poll;
   c.add_branch({"tracer",
                 std::move(rd),
                 {"tracer", "diag"},
                 [this, &sim, poll, ns = ctx.next_step] {
-                  if (poll) poll();
+                  poll();
                   run(sim, ns);
                 },
                 0.0});
   c.edge(c.anchor("interp_ready"), "tracer");
-  if (ctx.tiled) {
-    // The tiled step has no spine tail yet at the Push stage: order the
-    // particle-read conflict against the source species' tile pushes
-    // explicitly.
-    for (int t = 0; t < ctx.tiles->count(); ++t)
-      c.edge("push[" + sp.name + ".t" + std::to_string(t) + "]", "tracer");
-  }
+  // The step has no spine tail yet at the Push stage: order the
+  // particle-read conflict against the source species' tile pushes
+  // explicitly.
+  for (int t = 0; t < nt; ++t)
+    c.edge("push[" + sp.name + ".t" + std::to_string(t) + "]", "tracer");
   c.join("tracer");
 }
 

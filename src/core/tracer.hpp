@@ -11,8 +11,8 @@
 //
 // Tracers live in a module-owned AoS vector regardless of the species
 // layout, so trajectories are bit-identical across AoS/SoA/AoSoA and
-// across the untiled/tiled execution shapes (the module plans a single
-// phase ordered after the interpolator load). State (tracer particles,
+// across tile counts and schedulers (the module plans a single phase
+// ordered after the interpolator load and the source species' pushes). State (tracer particles,
 // ring, counters) round-trips through the module checkpoint sections.
 //
 // CSV sink: when SimulationConfig::tracer_csv_path is set, new trajectory

@@ -240,13 +240,13 @@ SliceOutcome Scheduler::run_slice(Job& j, bool restore_from_ring,
         out.restores = 1;
         prof::counter_add("farm.restore");
       }
-      // Tile-granular preemption observation (docs/TILES.md): a tiled
-      // step polls between every (phase x tile) task, so a yield raised
+      // Tile-granular preemption observation (docs/TILES.md): the step
+      // polls between every (phase x tile) task, so a yield raised
       // mid-step is noticed within one tile's worth of work instead of a
       // whole step. The job still exits at the step boundary (the ckpt
       // ring needs a quiescent engine); the counter's value is the number
       // of phase polls that ran with a yield pending — a direct measure
-      // of how quickly a preempt is seen. Untiled sims ignore the poll.
+      // of how quickly a preempt is seen.
       j.sim->set_phase_poll([&j] {
         if (j.yield.load(std::memory_order_relaxed))
           prof::counter_add("farm.yield_seen_midstep");

@@ -113,6 +113,12 @@ struct StealPool::Impl {
 
   void drain(int self) {
     t_worker = self;
+#if PK_HAVE_OPENMP
+    // Tasks run their kernels on one OpenMP thread: the pool is the only
+    // concurrency inside a round. The setting is this worker thread's own
+    // (OpenMP ICVs are per thread), so the caller's team is untouched.
+    omp_set_num_threads(1);
+#endif
     Worker& me = *workers[static_cast<std::size_t>(self)];
     for (;;) {
       std::function<void()> task;

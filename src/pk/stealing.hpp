@@ -16,11 +16,14 @@
 // further tasks from inside a task (dependency-graph continuations); a
 // run() round terminates when every spawned task has finished.
 //
+// Workers run their tasks' kernels (pk::parallel_for & co.) on one
+// OpenMP thread each, so tasks never nest an OpenMP team inside the pool.
+//
 // Determinism note: the pool never promises an execution *order* — tiled
 // physics stays bit-deterministic because deposits go to tile-private
 // accumulator blocks merged in fixed tile order, not because of anything
-// the scheduler does. The Sequential reference schedule bypasses this
-// pool entirely (StepGraph::execute_serial).
+// the scheduler does. The Sequential schedule bypasses this pool
+// entirely (StepGraph::execute_serial).
 //
 // Counters (fired from run(), on the caller's thread, so a farm job's
 // prof::CounterScope prefix applies): steal.attempts, steal.hits,

@@ -488,6 +488,12 @@ std::optional<TuneError> decode_cache(const std::string& text,
     if (!mp || !ms || !mr)
       return TuneError{TuneErrorKind::Parse,
                        std::string("incomplete gates for layout ") + name};
+    // Range-check the integer fields as parsed doubles: converting an
+    // out-of-range double to an integer is undefined behaviour.
+    if (!(*mp >= kMinParticlesLo && *mp <= kMinParticlesHi &&
+          *ms >= kMaxStaleLo && *ms <= kMaxStaleHi))
+      return TuneError{TuneErrorKind::OutOfRange,
+                       std::string("gates out of range for layout ") + name};
     gates[i].min_particles = static_cast<index_t>(*mp);
     gates[i].max_stale = static_cast<int>(*ms);
     gates[i].min_mean_run = *mr;

@@ -14,6 +14,7 @@
 //   * coordinated DistributedSimulation checkpoint/restore.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -39,11 +40,16 @@ namespace {
 class PkEnv : public ::testing::Environment {
  public:
   // One kernel thread: the bit-identity suites compare raw bytes, and
-  // with >1 OpenMP threads the float-atomic current deposits are
-  // nondeterministic even between two sequential runs. Instance worker
-  // threads (graph scheduler, async checkpoint writer) are independent of
-  // this setting.
-  void SetUp() override { pk::initialize(1); }
+  // with >1 OpenMP threads the float-atomic current deposits of the
+  // distributed step are nondeterministic even between two sequential
+  // runs. Instance worker threads (step pool, async checkpoint writer)
+  // are independent of this setting. The tune cache is pinned off: its
+  // gates are probed per layout, so a cache written by another run can
+  // send the cross-layout restore down a different push path.
+  void SetUp() override {
+    setenv("VPIC_TUNE", "off", 1);
+    pk::initialize(1);
+  }
 };
 [[maybe_unused]] const auto* const env =
     ::testing::AddGlobalTestEnvironment(new PkEnv);
@@ -223,6 +229,33 @@ TEST(Serialize, ShapeMismatchesAreTyped) {
   wrapped.extents[0] = 8 - (std::int64_t{1} << 62);  // * 4 B == 32 mod 2^64
   EXPECT_EQ(thrown_kind([&] { ckpt::decode_view_into(wrapped, tiny); }),
             ckpt::RestoreErrorKind::ShapeMismatch);
+}
+
+// ---- CRC-32 ------------------------------------------------------------
+
+TEST(Crc32, SlicingMatchesBytewiseAtEveryLengthAndAlignment) {
+  // Standard check value of CRC-32/IEEE.
+  EXPECT_EQ(ckpt::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(ckpt::crc32_bytewise("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(ckpt::crc32(nullptr, 0), 0u);
+
+  std::vector<unsigned char> buf(64 + 8);
+  std::uint64_t s = 0x243f6a8885a308d3ull;
+  for (auto& b : buf) {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<unsigned char>(s >> 56);
+  }
+  for (std::size_t align = 0; align < 8; ++align)
+    for (std::size_t n = 0; n <= 64; ++n) {
+      const unsigned char* p = buf.data() + align;
+      ASSERT_EQ(ckpt::crc32(p, n), ckpt::crc32_bytewise(p, n))
+          << "align " << align << " len " << n;
+      // Seed chaining: any split point gives the one-shot value.
+      for (std::size_t k = 0; k <= n; k += 7)
+        ASSERT_EQ(ckpt::crc32(p + k, n - k, ckpt::crc32(p, k)),
+                  ckpt::crc32_bytewise(p, n))
+            << "align " << align << " len " << n << " split " << k;
+    }
 }
 
 // ---- file envelope ---------------------------------------------------

@@ -466,8 +466,8 @@ TEST(FarmScheduler, RescaleMidRunResumesAtNewShape) {
   const auto dir = scratch("rescale");
   constexpr std::int64_t kSteps = 200;
 
-  // Reference: the same deck, uninterrupted, untiled. The rescaled job
-  // switches to tiled Stealing execution mid-run, so the deposit
+  // Reference: the same deck, uninterrupted, on one tile. The rescaled
+  // job switches to several tiles mid-run, so the deposit
   // grouping differs by float roundoff — energies match to a tolerance,
   // not bitwise.
   double ref_field = 0;

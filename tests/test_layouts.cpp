@@ -11,6 +11,7 @@
 // with scalar loads (including the AoSoA unaligned gather path).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -29,8 +30,15 @@ namespace {
 class PkEnv : public ::testing::Environment {
  public:
   // One kernel thread: bit-identity across layouts requires a fixed
-  // particle visit order; multi-thread float-atomic deposits reorder sums.
-  void SetUp() override { pk::initialize(1); }
+  // particle visit order; multi-thread float-atomic deposits (the direct
+  // advance_species calls) reorder sums. The tune cache is pinned off:
+  // its gates are probed per layout, so a cache written by another run
+  // (another thread count, or probes under load) can send two layouts
+  // down different push paths and break the bit-identity comparisons.
+  void SetUp() override {
+    setenv("VPIC_TUNE", "off", 1);
+    pk::initialize(1);
+  }
 };
 [[maybe_unused]] const auto* const env =
     ::testing::AddGlobalTestEnvironment(new PkEnv);

@@ -278,10 +278,10 @@ TEST(TracerModule, BitIdenticalAcrossExecutionShapes) {
     w2.step();
     w4.step();
   }
-  // Sequential and Graph run the same float stream; the tiled step's
-  // block-merged deposits differ in the last ulp from the untiled step,
-  // so its guarantee is determinism across worker counts, not
-  // cross-shape identity (docs/TILES.md).
+  // Sequential and Graph run the same float stream; 4 tiles group the
+  // block-merged deposits differently from 1 tile (last-ulp
+  // differences), so their guarantee is determinism across worker
+  // counts, not identity across tile counts (docs/TILES.md).
   const auto ref = tracer_bytes(t_seq);
   EXPECT_FALSE(ref.empty());
   EXPECT_EQ(ref, tracer_bytes(t_graph));

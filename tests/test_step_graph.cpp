@@ -365,7 +365,7 @@ TEST(StepGraphSimulation, GraphSchedulerPopulatesPhaseStats) {
   ASSERT_FALSE(st.empty());
   bool saw_interpolate = false, saw_field_advance = false, saw_push = false;
   for (const auto& s : st) {
-    if (s.name == "interpolate") saw_interpolate = true;
+    if (s.name.rfind("interp[", 0) == 0) saw_interpolate = true;
     if (s.name == "field_advance") saw_field_advance = true;
     if (s.name.rfind("push[", 0) == 0) saw_push = true;
     EXPECT_GE(s.seconds, 0.0);
@@ -389,7 +389,7 @@ TEST(StepGraphSimulation, SequentialSchedulerPopulatesPhaseStats) {
   ASSERT_FALSE(st.empty());
   bool saw_interpolate = false, saw_field_advance = false, saw_push = false;
   for (const auto& s : st) {
-    if (s.name == "interpolate") saw_interpolate = true;
+    if (s.name.rfind("interp[", 0) == 0) saw_interpolate = true;
     if (s.name == "field_advance") saw_field_advance = true;
     if (s.name.rfind("push[", 0) == 0) saw_push = true;
     EXPECT_GE(s.seconds, 0.0);
@@ -416,4 +416,42 @@ TEST(StepGraphSimulation, GraphStepsReuseOnePersistentPool) {
   for (int i = 0; i < 20; ++i) sim.step();
   pk::Instance<> b;
   EXPECT_LE(b.id() - a.id() - 1, sim.config().graph_instances);
+}
+
+// ----------------------------------------------------------------------
+// The default step is bit-identical across OpenMP thread counts: pushes
+// deposit with plain adds into per-(species, tile) blocks merged in fixed
+// order, and pool workers run their kernels on one OpenMP thread. The
+// Sequential scheduler runs the same graph on the calling thread's team.
+// Energies come from reductions and are left out.
+// ----------------------------------------------------------------------
+
+namespace {
+
+core::Simulation run_default_lpi(int omp_threads,
+                                 core::StepScheduler scheduler) {
+  core::Simulation sim = core::decks::make_lpi(core::decks::LpiParams{});
+  sim.config().scheduler = scheduler;
+  {
+    pk::ScopeGuard guard(omp_threads);
+    sim.run(40);  // steps 20 and 40 sort
+  }
+  pk::initialize(1);  // the suite's thread count
+  return sim;
+}
+
+}  // namespace
+
+TEST(DefaultStep, BitIdenticalAcrossOmpThreadCounts) {
+  const core::SimulationConfig defaults;
+  core::Simulation one = run_default_lpi(1, defaults.scheduler);
+  core::Simulation four = run_default_lpi(4, defaults.scheduler);
+  EXPECT_EQ(one.step_count(), 40);
+  expect_bitwise_equal(one, four);
+}
+
+TEST(DefaultStep, SequentialBitIdenticalAcrossOmpThreadCounts) {
+  core::Simulation one = run_default_lpi(1, core::StepScheduler::Sequential);
+  core::Simulation four = run_default_lpi(4, core::StepScheduler::Sequential);
+  expect_bitwise_equal(one, four);
 }

@@ -37,13 +37,12 @@ namespace {
 
 class PkEnv : public ::testing::Environment {
  public:
-  // One kernel thread: with >1 OpenMP threads the float-atomic deposits of
-  // the *untiled* reference path are nondeterministic, which would mask
-  // what this suite is about — tile decomposition and task scheduling.
-  // StealPool worker threads are independent of this setting, so the
-  // stealing tests still exercise real parallelism. The tune cache is
-  // pinned off: a stale .vpic_tune.json can flip sort/push dispatch
-  // per-layout, breaking the bit-identity comparisons.
+  // One kernel thread for the calling thread's kernels (the step pool's
+  // workers always use one); CI also runs the invariant suite at
+  // OMP_NUM_THREADS=4. StealPool worker threads are independent of this
+  // setting, so the stealing tests still exercise real parallelism. The
+  // tune cache is pinned off: a stale .vpic_tune.json can flip sort/push
+  // dispatch per-layout, breaking the bit-identity comparisons.
   void SetUp() override {
     setenv("VPIC_TUNE", "off", 1);
     pk::initialize(1);
@@ -253,8 +252,8 @@ TEST(TileImbalance, ReportsMaxOverMean) {
 
 // ----------------------------------------------------------------------
 // Tile seam correctness: move_p into a tile-private block, merged, must
-// equal the untiled deposit — boundary, corner, and reflecting-wall
-// crossings included.
+// equal the global-accumulator deposit — boundary, corner, and
+// reflecting-wall crossings included.
 // ----------------------------------------------------------------------
 
 namespace {
@@ -597,13 +596,12 @@ TEST(TiledStep, CheckpointResumeIsBitIdentical) {
     sim.config().graph_instances = 2;
     return sim;
   };
-  // The restored engine re-buckets its particles, which must reproduce
-  // the uninterrupted run's tile ranges and per-tile push dispatch. That
-  // holds at sort steps (interval 20), where the tiled step re-buckets
-  // too. Between sorts the ranges also depend on where the last bucketing
-  // left each drifting particle, which checkpoints do not record: a
-  // mid-interval resume regroups deposits and matches only to roundoff.
-  for (const int at : {20, 40}) {
+  // The restored engine must reproduce the uninterrupted run's tile
+  // ranges and per-tile push dispatch. At sort steps (interval 20) a
+  // re-bucket would do; between sorts (step 27) the ranges also depend on
+  // where the last bucketing left each drifting particle, so the
+  // checkpoint records them.
+  for (const int at : {20, 27, 40}) {
     SCOPED_TRACE("checkpoint at step " + std::to_string(at));
     core::Simulation ref = make();
     ref.run(at);
@@ -775,7 +773,7 @@ TEST(TiledStep, PhasePollFiresAtTileGranularity) {
   sim.set_phase_poll([&polls] { polls++; });
   sim.step();
   // At minimum one poll per per-tile interp and push phase: far more
-  // observation points per step than the untiled step's single yield.
+  // observation points per step than one whole-step yield.
   EXPECT_GE(polls.load(), 8);
 }
 
