@@ -44,7 +44,8 @@ DistributedSimulation::DistributedSimulation(const DomainConfig& cfg,
       z_offset_(comm.rank() * (cfg.nz / comm.size())),
       fields_(make_local_grid(cfg, comm.size(), comm.rank())),
       interp_(fields_.grid),
-      acc_(fields_.grid) {
+      acc_(fields_.grid),
+      push_acc_(fields_.grid, TileMap(fields_.grid, 1), 0) {
   // Same startup calibration hook as Simulation (simulation.hpp) — ranks
   // share the process, so only the first constructor actually probes.
   tune::ensure_initialized();
@@ -225,24 +226,47 @@ void DistributedSimulation::step() {
 }
 
 // The reference schedule: every exchange fully fenced before the compute
-// that depends on it (and, conservatively, compute that does not).
+// that depends on it (and, conservatively, compute that does not). Each
+// species pushes serially on the rank thread into the private block
+// push_acc_, which is merged into acc_ before the exits are exchanged:
+// deposits are summed and exits queued in particle-index order, so the
+// step is bit-identical at any OpenMP thread count.
 void DistributedSimulation::step_fenced() {
   prof::ScopedRegion step_region("step");
   exchange_field_ghosts();
   interp_.load(fields_);
   acc_.clear();
 
+  const Grid& g = fields_.grid;
   std::vector<ExitRecord> exits;
-  std::mutex exits_mutex;
   for (std::size_t s = 0; s < species_.size(); ++s) {
+    Species& sp = species_[s];
     current_species_ = s;
     MoverOptions opts;
     opts.periodic_mask = 0b011;  // x, y periodic; z decomposed
     opts.exits = &exits;
-    opts.exits_mutex = &exits_mutex;
-    advance_species(species_[s], interp_, acc_, fields_.grid,
-                    cfg_.strategy, opts);
-    compact_exited(species_[s]);
+    {
+      prof::ScopedRegion r("push");
+      push_acc_.clear();
+      const bool use_runs = cfg_.strategy != VectorStrategy::AdHoc &&
+                            run_aware_profitable(sp);
+      prof::counter_add(use_runs ? "push.dispatch.run_aware"
+                                 : "push.dispatch.generic");
+      if (use_runs) {
+        dispatch_layout(sp.p, [&](auto a) {
+          sort::segment_runs(sp.np, [a](index_t i) { return a.cell(i); },
+                             sp.push_runs);
+        });
+        advance_runs_serial(sp, interp_, push_acc_, g, cfg_.strategy, opts,
+                            sp.push_runs);
+      } else {
+        advance_range_serial(sp, interp_, push_acc_, g, cfg_.strategy, opts,
+                             0, sp.np);
+      }
+      sp.mark_order_degraded();  // once per push, as advance_species does
+      push_acc_.merge_into(acc_);
+    }
+    compact_exited(sp);
     exchange_exits(exits);
   }
 

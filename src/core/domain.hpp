@@ -28,6 +28,7 @@
 #include "core/interpolator.hpp"
 #include "core/particle.hpp"
 #include "core/push.hpp"
+#include "core/tiles.hpp"
 #include "minimpi/minimpi.hpp"
 
 namespace vpic::core {
@@ -47,8 +48,9 @@ struct DomainConfig {
   // interior particle push (cells below plane nz) — completing the halo
   // with the nonblocking wait_any poll before the boundary-plane push.
   // Same physics as the fenced schedule up to fp-reordering of current
-  // deposits; set false to force the fenced reference schedule (AdHoc
-  // strategy falls back to fenced regardless — it has no run-aware push).
+  // deposits; set false to force the fenced reference schedule, which is
+  // bit-identical at any OpenMP thread count (AdHoc strategy falls back
+  // to fenced regardless — it has no run-aware push).
   bool overlap = true;
 };
 
@@ -158,6 +160,9 @@ class DistributedSimulation {
   FieldArray fields_;
   InterpolatorArray interp_;
   AccumulatorArray acc_;
+  // Fenced push deposits: one tile over the whole slab, so every deposit
+  // lands in its dense window (core/tiles.hpp).
+  TileAccumulator push_acc_;
   std::vector<Species> species_;
   std::size_t current_species_ = 0;  // species whose exits are in flight
   std::int64_t step_count_ = 0;

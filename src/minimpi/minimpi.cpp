@@ -8,6 +8,10 @@
 #include <stdexcept>
 #include <thread>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace vpic::mpi {
 
 namespace {
@@ -249,8 +253,17 @@ void run(int nranks, const WorldOptions& opts,
   std::exception_ptr first_error;
   std::mutex err_mutex;
   threads.reserve(static_cast<std::size_t>(nranks));
+  // omp_set_num_threads (pk::initialize) sets the calling thread's team
+  // size only; a fresh std::thread starts from the process default. Each
+  // rank adopts the caller's, so pk::initialize(n) binds the ranks too.
+#ifdef _OPENMP
+  const int omp_threads = omp_get_max_threads();
+#endif
   for (int r = 0; r < nranks; ++r) {
     threads.emplace_back([&, r] {
+#ifdef _OPENMP
+      omp_set_num_threads(omp_threads);
+#endif
       Comm comm(&world, r);
       try {
         fn(comm);

@@ -39,11 +39,13 @@ namespace {
 
 class PkEnv : public ::testing::Environment {
  public:
-  // One kernel thread: the bit-identity suites compare raw bytes, and
-  // with >1 OpenMP threads the float-atomic current deposits of the
-  // distributed step are nondeterministic even between two sequential
-  // runs. Instance worker threads (step pool, async checkpoint writer)
-  // are independent of this setting. The tune cache is pinned off: its
+  // One kernel thread, which minimpi rank threads adopt too. The steps
+  // compared here (Simulation::step() and the fenced distributed step)
+  // are bit-identical at any OpenMP thread count; the pin keeps the raw
+  // byte comparisons off whatever still reduces in thread order (energy
+  // reductions, the overlapped distributed schedule). Instance worker
+  // threads (step pool, async checkpoint writer) are independent of this
+  // setting. The tune cache is pinned off: its
   // gates are probed per layout, so a cache written by another run can
   // send the cross-layout restore down a different push path.
   void SetUp() override {

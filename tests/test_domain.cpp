@@ -58,7 +58,71 @@ RunResult run_distributed(int nranks, int steps, float uth = 0.2f,
   return out;
 }
 
+/// End state of one rank: its particles and two field components.
+struct RankState {
+  std::vector<core::Particle> particles;
+  std::vector<float> ex, by;
+};
+
+/// 2-rank fenced run (a z-drifting plasma, so particles cross the slab
+/// faces every step) with `omp_threads` OpenMP threads per rank.
+std::vector<RankState> run_fenced(int omp_threads, int steps) {
+  std::vector<RankState> out(2);
+  const int before = pk::concurrency();
+  {
+    pk::ScopeGuard guard(omp_threads);
+    mpi::run(2, [&](mpi::Comm& comm) {
+      auto cfg = test_config();
+      cfg.overlap = false;
+      core::DistributedSimulation sim(cfg, comm);
+      const auto e = sim.add_species("e", -1.0f, 1.0f, 20000);
+      sim.load_uniform_plasma(e, 3, 0.2f, 0.02f, -0.01f, 0.3f);
+      sim.run(steps);
+      RankState& st = out[static_cast<std::size_t>(comm.rank())];
+      const auto& sp = sim.species(e);
+      for (index_t n = 0; n < sp.np; ++n) st.particles.push_back(sp.p(n));
+      const auto& f = sim.fields();
+      for (index_t v = 0; v < f.ex.size(); ++v) {
+        st.ex.push_back(f.ex(v));
+        st.by.push_back(f.by(v));
+      }
+    });
+  }
+  pk::initialize(before);  // the suite's thread count
+  return out;
+}
+
 }  // namespace
+
+// The fenced schedule pushes serially into a private block merged in
+// fixed order and queues exits in particle-index order, so it is
+// bit-identical at any OpenMP thread count (docs/ASYNC.md).
+TEST(Domain, FencedStepBitIdenticalAcrossOmpThreadCounts) {
+  const auto one = run_fenced(1, 10);
+  const auto four = run_fenced(4, 10);
+  for (std::size_t r = 0; r < one.size(); ++r) {
+    const auto& a = one[r];
+    const auto& b = four[r];
+    ASSERT_EQ(a.particles.size(), b.particles.size()) << "rank " << r;
+    for (std::size_t i = 0; i < a.particles.size(); ++i) {
+      const auto& p = a.particles[i];
+      const auto& q = b.particles[i];
+      ASSERT_EQ(p.dx, q.dx) << "rank " << r << " particle " << i;
+      ASSERT_EQ(p.dy, q.dy) << "rank " << r << " particle " << i;
+      ASSERT_EQ(p.dz, q.dz) << "rank " << r << " particle " << i;
+      ASSERT_EQ(p.i, q.i) << "rank " << r << " particle " << i;
+      ASSERT_EQ(p.ux, q.ux) << "rank " << r << " particle " << i;
+      ASSERT_EQ(p.uy, q.uy) << "rank " << r << " particle " << i;
+      ASSERT_EQ(p.uz, q.uz) << "rank " << r << " particle " << i;
+      ASSERT_EQ(p.w, q.w) << "rank " << r << " particle " << i;
+    }
+    ASSERT_EQ(a.ex.size(), b.ex.size());
+    for (std::size_t v = 0; v < a.ex.size(); ++v) {
+      ASSERT_EQ(a.ex[v], b.ex[v]) << "rank " << r << " ex voxel " << v;
+      ASSERT_EQ(a.by[v], b.by[v]) << "rank " << r << " by voxel " << v;
+    }
+  }
+}
 
 TEST(Domain, RejectsIndivisibleDecomposition) {
   EXPECT_THROW(mpi::run(3,

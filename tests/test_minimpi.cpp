@@ -11,6 +11,11 @@
 #include <vector>
 
 #include "minimpi/minimpi.hpp"
+#include "pk/config.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace mpi = vpic::mpi;
 
@@ -178,6 +183,27 @@ TEST(MiniMpi, ExceptionPropagates) {
 
 TEST(MiniMpi, InvalidRankCount) {
   EXPECT_THROW(mpi::run(0, [](mpi::Comm&) {}), std::invalid_argument);
+}
+
+// Rank threads adopt the caller's OpenMP team size (omp_set_num_threads
+// is per thread; a fresh std::thread would start from the process
+// default), so pk::initialize(n) binds the ranks' kernels too.
+TEST(MiniMpi, RanksAdoptCallersOmpThreadCount) {
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  const int before = omp_get_max_threads();
+  std::vector<int> seen(2, 0);
+  {
+    vpic::pk::ScopeGuard guard(2);
+    mpi::run(2, [&](mpi::Comm& c) {
+      seen[static_cast<std::size_t>(c.rank())] = omp_get_max_threads();
+    });
+  }
+  omp_set_num_threads(before);
+  EXPECT_EQ(seen[0], 2);
+  EXPECT_EQ(seen[1], 2);
+#endif
 }
 
 TEST(CartTopology, DimsProductAndCoords) {
