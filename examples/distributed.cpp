@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   cfg.lx = 8;
   cfg.ly = 8;
   cfg.lz = 16;
-  cfg.strategy = core::VectorStrategy::Guided;
   if (cfg.nz % nranks != 0) {
     std::fprintf(stderr, "nranks must divide nz=%d\n", cfg.nz);
     return 1;

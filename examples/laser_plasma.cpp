@@ -4,6 +4,8 @@
 // kernel throughput for the selected vectorization strategy.
 //
 //   ./laser_plasma [strategy: auto|guided|manual|adhoc] [steps]
+//
+// Without a strategy argument the deck's default (manual) runs.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,8 +33,7 @@ int main(int argc, char** argv) {
   p.ny = 16;
   p.nz = 16;
   p.ppc = 16;
-  p.strategy = argc > 1 ? parse_strategy(argv[1])
-                        : core::VectorStrategy::Guided;
+  if (argc > 1) p.strategy = parse_strategy(argv[1]);  // else the default
   const int steps = argc > 2 ? std::atoi(argv[2]) : 200;
 
   auto sim = core::decks::make_lpi(p);

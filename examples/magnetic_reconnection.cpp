@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   p.ny = 8;
   p.nz = 32;
   p.ppc = 8;
-  p.strategy = core::VectorStrategy::Guided;
   auto sim = core::decks::make_reconnection(p);
   if (check) sim.config().energy_interval = 5;
 

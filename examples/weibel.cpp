@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   p.nz = 16;
   p.ppc = 16;
   p.u_beam = 0.4f;
-  p.strategy = core::VectorStrategy::Guided;
   auto sim = core::decks::make_weibel(p);
   if (check) sim.config().energy_interval = 5;
 

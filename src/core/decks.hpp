@@ -23,7 +23,7 @@ struct LpiParams {
   float laser_amplitude = 0.1f; // normalized E0
   float laser_omega = 0.9f;     // in plasma-frequency units (underdense)
   int laser_ramp_steps = 20;
-  VectorStrategy strategy = VectorStrategy::Auto;
+  VectorStrategy strategy = kDefaultStrategy;
   sort::SortOrder sort_order = sort::SortOrder::Standard;
   int sort_interval = 20;
   std::uint64_t seed = 42;
@@ -54,7 +54,7 @@ struct ReconnectionParams {
   float uth = 0.05f;
   float drift = 0.02f;    // current-sheet drift momentum (+/- for species)
   float perturbation = 0.02f;    // GEM-style island seed amplitude
-  VectorStrategy strategy = VectorStrategy::Auto;
+  VectorStrategy strategy = kDefaultStrategy;
   std::uint64_t seed = 43;
 };
 
@@ -67,7 +67,7 @@ struct WeibelParams {
   int ppc = 16;
   float u_beam = 0.3f;  // counter-streaming drift along z
   float uth = 0.01f;
-  VectorStrategy strategy = VectorStrategy::Auto;
+  VectorStrategy strategy = kDefaultStrategy;
   std::uint64_t seed = 44;
 };
 

@@ -279,9 +279,12 @@ void DistributedSimulation::step_fenced() {
 // never touch the z ghosts; cells of those planes hold the "interior"
 // particles, whose push therefore cannot read stale halo data. Only the
 // plane-nz interpolator load and the push of plane-nz particles wait for
-// the halo. Deposit ordering differs from the fenced path (interior runs
-// before boundary runs instead of array order), so results match to
-// fp-reordering, not bitwise — test_domain's tolerances.
+// the halo. Every push runs serially on the rank thread into push_acc_
+// (interior runs of each species, then boundary runs), merged into acc_
+// once before the exits are exchanged; exits queue in run order. So the
+// step is bit-identical at any OpenMP thread count. Deposit ordering
+// differs from the fenced path (run order instead of array order), so the
+// two schedules match to fp-reordering, not bitwise.
 void DistributedSimulation::step_overlapped() {
   prof::ScopedRegion step_region("step");
   const Grid& g = fields_.grid;
@@ -292,6 +295,7 @@ void DistributedSimulation::step_overlapped() {
     prof::ScopedRegion r("overlap_window");
     interp_.load_planes(fields_, 1, g.nz - 1);
     acc_.clear();
+    push_acc_.clear();
   }
 
   // Partition each species' maximal same-cell runs at the boundary plane:
@@ -302,7 +306,12 @@ void DistributedSimulation::step_overlapped() {
   const index_t boundary_begin = g.voxel(0, 0, g.nz);
   std::vector<std::vector<ExitRecord>> exits(species_.size());
   std::vector<std::vector<sort::CellRun>> boundary_runs(species_.size());
-  std::mutex exits_mutex;
+  const auto opts_for = [&](std::size_t s) {
+    MoverOptions opts;
+    opts.periodic_mask = 0b011;  // x, y periodic; z decomposed
+    opts.exits = &exits[s];
+    return opts;
+  };
   {
     prof::ScopedRegion r("interior_push");
     for (std::size_t s = 0; s < species_.size(); ++s) {
@@ -319,30 +328,25 @@ void DistributedSimulation::step_overlapped() {
       for (const auto& run : sp.push_runs)
         (run.cell >= boundary_begin ? boundary_runs[s] : interior)
             .push_back(run);
-      MoverOptions opts;
-      opts.periodic_mask = 0b011;
-      opts.exits = &exits[s];
-      opts.exits_mutex = &exits_mutex;
-      advance_species_runs(sp, interp_, acc_, g, cfg_.strategy, opts,
-                           interior);
+      advance_runs_serial(sp, interp_, push_acc_, g, cfg_.strategy,
+                          opts_for(s), interior);
     }
   }
 
   complete_field_halo(halo);
   interp_.load_planes(fields_, g.nz, g.nz);
 
+  {
+    prof::ScopedRegion r("boundary_push");
+    for (std::size_t s = 0; s < species_.size(); ++s)
+      advance_runs_serial(species_[s], interp_, push_acc_, g, cfg_.strategy,
+                          opts_for(s), boundary_runs[s]);
+    push_acc_.merge_into(acc_);
+  }
+
   for (std::size_t s = 0; s < species_.size(); ++s) {
     Species& sp = species_[s];
     current_species_ = s;
-    MoverOptions opts;
-    opts.periodic_mask = 0b011;
-    opts.exits = &exits[s];
-    opts.exits_mutex = &exits_mutex;
-    {
-      prof::ScopedRegion r("boundary_push");
-      advance_species_runs(sp, interp_, acc_, g, cfg_.strategy, opts,
-                           boundary_runs[s]);
-    }
     sp.mark_order_degraded();  // once per step, as advance_species does
     compact_exited(sp);
     exchange_exits(exits[s]);

@@ -37,7 +37,7 @@ struct DomainConfig {
   int nx = 8, ny = 8, nz = 8;        // GLOBAL interior cells
   float lx = 8, ly = 8, lz = 8;      // global physical extents
   float dt = 0;                      // 0: Courant-limited default
-  VectorStrategy strategy = VectorStrategy::Auto;
+  VectorStrategy strategy = kDefaultStrategy;
   std::uint64_t seed = 42;
   // Particle layout for every species (core/particle_store.hpp,
   // docs/LAYOUT.md). Excluded from config_fingerprint(): it changes
@@ -48,7 +48,7 @@ struct DomainConfig {
   // interior particle push (cells below plane nz) — completing the halo
   // with the nonblocking wait_any poll before the boundary-plane push.
   // Same physics as the fenced schedule up to fp-reordering of current
-  // deposits; set false to force the fenced reference schedule, which is
+  // deposits; set false to force the fenced reference schedule. Both are
   // bit-identical at any OpenMP thread count (AdHoc strategy falls back
   // to fenced regardless — it has no run-aware push).
   bool overlap = true;

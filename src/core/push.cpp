@@ -785,36 +785,6 @@ PushPath advance_species(Species& sp, const InterpolatorArray& interp,
   return use_runs ? PushPath::RunAware : PushPath::Generic;
 }
 
-void advance_species_runs(Species& sp, const InterpolatorArray& interp,
-                          AccumulatorArray& acc, const Grid& g,
-                          VectorStrategy strategy, const MoverOptions& opts,
-                          const std::vector<sort::CellRun>& runs) {
-  prof::ScopedRegion region("advance_species_runs");
-  if (opts.exits != nullptr && opts.exits_mutex == nullptr &&
-      pk::DefaultExecSpace::concurrency() > 1)
-    throw std::logic_error(
-        "advance_species_runs: opts.exits requires opts.exits_mutex when "
-        "the default execution space is concurrent");
-  if (strategy == VectorStrategy::AdHoc)
-    throw std::invalid_argument(
-        "advance_species_runs: AdHoc has no run-aware variant");
-  dispatch_layout(sp.p, [&](auto a) {
-    switch (strategy) {
-      case VectorStrategy::Auto:
-        push_auto_runs(sp, a, interp, acc, g, opts, runs);
-        break;
-      case VectorStrategy::Guided:
-        push_guided_runs(sp, a, interp, acc, g, opts, runs);
-        break;
-      case VectorStrategy::Manual:
-        push_manual_runs(sp, a, interp, acc, g, opts, runs);
-        break;
-      case VectorStrategy::AdHoc:
-        break;  // unreachable: thrown above
-    }
-  });
-}
-
 // ----------------------------------------------------------------------
 // Serial tile-task kernels (docs/TILES.md): one tile's index range or run
 // list, executed in order on the calling thread, depositing into the

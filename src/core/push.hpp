@@ -45,6 +45,12 @@ namespace vpic::core {
 
 enum class VectorStrategy : std::uint8_t { Auto, Guided, Manual, AdHoc };
 
+/// The strategy every config and deck defaults to, and the one the
+/// startup autotuner (src/tune) calibrates the dispatch gates under:
+/// Manual, the fastest push on CPUs (paper Fig. 4; measured end to end in
+/// docs/PUSH.md). Auto is the VPIC 2.0 baseline the paper improves on.
+inline constexpr VectorStrategy kDefaultStrategy = VectorStrategy::Manual;
+
 inline const char* to_string(VectorStrategy s) noexcept {
   switch (s) {
     case VectorStrategy::Auto:
@@ -118,23 +124,6 @@ PushPath advance_species(Species& sp, const InterpolatorArray& interp,
                          const MoverOptions& opts = {},
                          PushPath path = PushPath::AutoDetect);
 
-/// Push exactly the particles covered by `runs` (maximal same-cell
-/// segments from sort::segment_runs) with the run-aware kernel of
-/// `strategy`. This is the building block of the overlapped distributed
-/// step: the caller partitions the run list at the subdomain boundary and
-/// pushes interior runs while the halo exchange is in flight, then the
-/// boundary runs once it lands. Unlike advance_species this does NOT age
-/// the species' sortedness hint — the caller does that once after all
-/// partial pushes of the step.
-///
-/// Throws std::invalid_argument for VectorStrategy::AdHoc (it has no
-/// run-aware variant; callers fall back to the fenced path) and the same
-/// std::logic_error as advance_species for an unguarded exit queue.
-void advance_species_runs(Species& sp, const InterpolatorArray& interp,
-                          AccumulatorArray& acc, const Grid& g,
-                          VectorStrategy strategy, const MoverOptions& opts,
-                          const std::vector<sort::CellRun>& runs);
-
 /// The AutoDetect heuristic, exposed for tests and benches: true when the
 /// species' sortedness tracking (fresh or recently-stale cell-sorted hint)
 /// plus a sampled run probe predict the run-aware path will pay off.
@@ -162,9 +151,10 @@ void advance_range_serial(Species& sp, const InterpolatorArray& interp,
                           VectorStrategy strategy, const MoverOptions& opts,
                           index_t n0, index_t n1);
 
-/// Serial run-aware push of every run in `runs` (same per-run bodies as
-/// the parallel variants, executed in run order). AdHoc throws like
-/// advance_species_runs.
+/// Serial run-aware push of every run in `runs` (maximal same-cell
+/// segments from sort::segment_runs; same per-run bodies as the parallel
+/// variants, executed in run order). Throws std::invalid_argument for
+/// VectorStrategy::AdHoc, which has no run-aware variant.
 void advance_runs_serial(Species& sp, const InterpolatorArray& interp,
                          TileAccumulator& acc, const Grid& g,
                          VectorStrategy strategy, const MoverOptions& opts,

@@ -93,7 +93,7 @@ struct TileConfig {
 
 struct SimulationConfig {
   Grid grid;
-  VectorStrategy strategy = VectorStrategy::Auto;
+  VectorStrategy strategy = kDefaultStrategy;
   // Physical particle layout for every species added through add_species
   // (AoS / SoA / AoSoA, see core/particle_store.hpp and docs/LAYOUT.md).
   // Excluded from config_fingerprint(): the layout changes memory

@@ -88,6 +88,10 @@ struct JobStatus {
   std::int64_t rescales = 0;      // Scheduler::rescale calls accepted
   int rescale_workers = 0;        // active worker override (0: deck default)
   int rescale_tiles = 0;          // active tile-count override (0: auto)
+  /// Step at which the engine rebuilt at the latest rescale's shape
+  /// resumed (its restored step count); -1 until that rescale took
+  /// effect.
+  std::int64_t rescaled_at_step = -1;
   double vtime = 0;               // weighted fair-queueing virtual time
   double field_energy = 0;        // last slice-boundary sample
   std::vector<double> kinetic;    // per species, same sample

@@ -19,7 +19,12 @@
 #include <stdexcept>
 
 #include "ckpt/ring.hpp"
+#include "pk/config.hpp"
 #include "prof/prof.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace vpic::farm {
 
@@ -87,6 +92,9 @@ struct Scheduler::Job {
   int workers_override = 0;
   int tiles_override = 0;
   std::int64_t rescales = 0;
+  // Step the first engine rebuilt after the latest rescale resumed at;
+  // -1 from the rescale() call until that rebuild.
+  std::int64_t rescaled_at_step = -1;
   std::optional<core::Simulation> sim;  // resident engine (may be parked)
   double field_energy = 0;
   std::vector<double> kinetic;
@@ -101,6 +109,9 @@ struct SliceOutcome {
   std::int64_t step = 0;
   std::int64_t taken = 0;
   std::int64_t restores = 0;
+  // Step the engine resumed at after being rebuilt at a rescale override
+  // (-1: the slice kept the resident engine or ran at the deck shape).
+  std::int64_t reshaped_at = -1;
   double field_energy = 0;
   std::vector<double> kinetic;
   bool failed = false;
@@ -114,8 +125,20 @@ Scheduler::Scheduler(Options opt) : opt_(std::move(opt)) {
   opt_.slice_steps = std::max<std::int64_t>(1, opt_.slice_steps);
   if (opt_.ring_dir.empty()) opt_.ring_dir = ".vpic_farm";
   workers_.reserve(static_cast<std::size_t>(opt_.max_concurrent));
+  // omp_set_num_threads (pk::initialize) sets the calling thread's team
+  // size only; a fresh std::thread starts from the process default. Each
+  // worker adopts the constructing thread's, so pk::initialize(n) binds
+  // the engines the farm steps too (reductions such as the slice-boundary
+  // energies group their sums by team size).
+  const int team = pk::concurrency();
   for (int i = 0; i < opt_.max_concurrent; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, team] {
+#ifdef _OPENMP
+      omp_set_num_threads(team);
+#endif
+      (void)team;
+      worker_loop();
+    });
 }
 
 Scheduler::~Scheduler() {
@@ -240,6 +263,7 @@ SliceOutcome Scheduler::run_slice(Job& j, bool restore_from_ring,
         out.restores = 1;
         prof::counter_add("farm.restore");
       }
+      if (workers > 0) out.reshaped_at = j.sim->step_count();
       // Tile-granular preemption observation (docs/TILES.md): the step
       // polls between every (phase x tile) task, so a yield raised
       // mid-step is noticed within one tile's worth of work instead of a
@@ -305,6 +329,7 @@ void Scheduler::worker_loop() {
                 static_cast<double>(std::max(1, j->spec.weight));
     ++j->slices;
     j->restores += out.restores;
+    if (j->rescaled_at_step < 0) j->rescaled_at_step = out.reshaped_at;
     j->field_energy = out.field_energy;
     j->kinetic = std::move(out.kinetic);
     const bool completed = out.step >= j->spec.total_steps;
@@ -499,6 +524,7 @@ bool Scheduler::rescale(const std::string& name, int workers, int tiles) {
     j.workers_override = workers;
     j.tiles_override = tiles;
     ++j.rescales;
+    j.rescaled_at_step = -1;
     if (j.state == JobState::Running) {
       // Checkpoint-and-release at the next step boundary; the rebuild
       // picks up the new shape before restoring.
@@ -544,6 +570,7 @@ JobStatus Scheduler::status_of_locked(const Job& j) const {
   s.rescales = j.rescales;
   s.rescale_workers = j.workers_override;
   s.rescale_tiles = j.tiles_override;
+  s.rescaled_at_step = j.rescaled_at_step;
   s.vtime = j.vtime;
   s.field_energy = j.field_energy;
   s.kinetic = j.kinetic;

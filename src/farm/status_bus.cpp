@@ -74,6 +74,7 @@ std::string status_record(
      << ",\"rescales\":" << s.rescales
      << ",\"rescale_workers\":" << s.rescale_workers
      << ",\"rescale_tiles\":" << s.rescale_tiles
+     << ",\"rescaled_at_step\":" << s.rescaled_at_step
      << ",\"vtime\":" << fmt_double(s.vtime)
      << ",\"field_energy\":" << fmt_double(s.field_energy)
      << ",\"kinetic\":[";

@@ -15,14 +15,15 @@
 #include <sstream>
 #include <vector>
 
-#include "core/accumulator.hpp"
 #include "core/grid.hpp"
 #include "core/interpolator.hpp"
 #include "core/particle.hpp"
 #include "core/push.hpp"
+#include "core/tiles.hpp"
 #include "prof/prof.hpp"
 #include "sort/counting.hpp"
 #include "sort/radix.hpp"
+#include "sort/runs.hpp"
 
 namespace vpic::tune {
 
@@ -39,6 +40,11 @@ constexpr double kMinMeanRunLo = 2.0, kMinMeanRunHi = 16.0;
 constexpr double kCellsPerNLo = 1.0 / 64.0, kCellsPerNHi = 1.0;
 constexpr double kCellsFloorLo = static_cast<double>(index_t{1} << 14);
 constexpr double kCellsFloorHi = static_cast<double>(index_t{1} << 22);
+
+// Which push kernels the gate probe times, part of the host fingerprint:
+// a cache whose gates came from another kernel (the OpenMP-lane
+// advance_species of older builds wrote no tag) is stale and re-probed.
+constexpr const char* kProbeKernelTag = "serial-tile";
 
 double now_s() {
   return std::chrono::duration<double>(
@@ -238,7 +244,7 @@ std::string host_fingerprint() {
       "unknown";
 #endif
   std::ostringstream os;
-  os << "vpictune1;host=" << host
+  os << "vpictune1;host=" << host << ";probe=" << kProbeKernelTag
      << ";threads=" << pk::DefaultExecSpace::concurrency() << ";isa=" << isa
      << ";w=" << core::kManualVecWidth << ";tile=" << core::kAosoaTileWidth
      << ";compiler=" << compiler <<
@@ -264,40 +270,43 @@ core::PushGates probe_push_gates(core::ParticleLayout layout,
                                  double* gen_cost_s) {
   const core::Grid g(8, 8, 8, 8.f, 8.f, 8.f, core::Grid::courant_dt(1, 1, 1));
   core::InterpolatorArray interp(g);  // zero fields: particles never move
-  core::AccumulatorArray acc(g);
+  // One tile over the whole grid: the deposit block of the step's
+  // untiled push. Zero momenta deposit zeros, so it is never cleared.
+  core::TileAccumulator acc(g, core::TileMap(g, 1), 0);
   constexpr int kPpc = 32;
   const index_t n = g.interior_cells() * kPpc;
 
   core::Species sp("tune_probe", -1.0f, 1.0f, n, layout);
-  const auto strat = core::VectorStrategy::Manual;
+  const auto strat = core::kDefaultStrategy;
   constexpr int kReps = 3;
+
+  // The step's tile-push kernels (pipeline_modules.cpp), serial on the
+  // calling thread: the probe is independent of the OpenMP team.
+  const auto push_generic = [&] {
+    core::advance_range_serial(sp, interp, acc, g, strat, {}, 0, sp.np);
+  };
+  const auto push_runs = [&] {
+    core::dispatch_layout(sp.p, [&](auto a) {
+      sort::segment_runs(sp.np, [a](index_t i) { return a.cell(i); },
+                         sp.push_runs);
+    });
+    core::advance_runs_serial(sp, interp, acc, g, strat, {}, sp.push_runs);
+  };
 
   // Long runs (length kPpc): per-particle cost ~ c_inf.
   fill_probe_species(sp, g, kPpc, /*sorted=*/true);
-  const double t_gen = time_min(kReps, [&] {
-    core::advance_species(sp, interp, acc, g, strat, {},
-                          core::PushPath::Generic);
-  });
-  const double t_long = time_min(kReps, [&] {
-    core::advance_species(sp, interp, acc, g, strat, {},
-                          core::PushPath::RunAware);
-  });
+  const double t_gen = time_min(kReps, push_generic);
+  const double t_long = time_min(kReps, push_runs);
 
   // Runs of length 1: per-particle cost ~ c_inf + c_overhead.
   fill_probe_species(sp, g, kPpc, /*sorted=*/false);
-  const double t_short = time_min(kReps, [&] {
-    core::advance_species(sp, interp, acc, g, strat, {},
-                          core::PushPath::RunAware);
-  });
+  const double t_short = time_min(kReps, push_runs);
 
-  // Small-n fixed overhead (segmentation pass, run vector, region setup).
+  // Small-n fixed overhead (segmentation pass, run vector).
   fill_probe_species(sp, g, kPpc, /*sorted=*/true);
   const index_t n_small = 64;
   sp.np = n_small;
-  const double t_small = time_min(kReps, [&] {
-    core::advance_species(sp, interp, acc, g, strat, {},
-                          core::PushPath::RunAware);
-  });
+  const double t_small = time_min(kReps, push_runs);
 
   const double nn = static_cast<double>(n);
   const double per_gen = t_gen / nn;

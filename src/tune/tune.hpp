@@ -87,17 +87,20 @@ struct TuneState {
 // Pieces, exposed for tests and the layout_autotune bench.
 // ---------------------------------------------------------------------------
 
-/// Host/build identity string, e.g.
-/// "vpictune1;host=node12;threads=8;isa=avx2;w=8;tile=8;compiler=gcc-13".
-/// Any field changing invalidates cached probe results.
+/// Host/build identity string, e.g. "vpictune1;host=node12;
+/// probe=serial-tile;threads=8;isa=avx2;w=8;tile=8;compiler=gcc-13".
+/// Any field changing invalidates cached probe results; `probe` names the
+/// push kernels the gates were measured on.
 [[nodiscard]] std::string host_fingerprint();
 
 /// Resolve the cache path from VPIC_TUNE (empty => tuning disabled).
 [[nodiscard]] std::string default_cache_path();
 
-/// Probe the run-aware push crossover for one layout. Times the generic
-/// and run-aware Manual kernels on a synthetic cell-resident species at
-/// long and short run lengths, then solves
+/// Probe the run-aware push crossover for one layout. Times the step's
+/// serial tile kernels (advance_range_serial and advance_runs_serial over
+/// sort::segment_runs, into a one-tile TileAccumulator, on the calling
+/// thread) under core::kDefaultStrategy on a synthetic cell-resident
+/// species at long and short run lengths, then solves
 ///   cost_run(r) = c_inf + c_overhead / r  ==  cost_generic
 /// for the break-even mean run length. All outputs are clamped:
 /// min_particles in [64, 4096], max_stale in [8, 256], min_mean_run in

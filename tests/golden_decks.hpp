@@ -7,6 +7,13 @@
 // the config fingerprint and makes every fixture unrestorable, which is
 // the point — the fixtures pin the on-disk state a future build must keep
 // reading.
+//
+// Both decks set `strategy = VectorStrategy::Auto` explicitly. The push
+// strategy is hashed into the config fingerprint, and the fixtures were
+// written when Auto was the default; the engine default is now Manual
+// (core::kDefaultStrategy). Without the pin these decks would describe a
+// different configuration from the one the fixture bytes hold, and every
+// restore would fail with the typed fingerprint error.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +32,7 @@ inline core::Simulation make_sim() {
   p.ppc = 2;
   p.sort_interval = 3;
   p.seed = 2025;
+  p.strategy = core::VectorStrategy::Auto;  // fixtures' fingerprint
   auto sim = core::decks::make_lpi(p);
   sim.config().energy_interval = 2;
   return sim;
@@ -40,6 +48,7 @@ inline core::DomainConfig dist_config() {
   cfg.ly = 2;
   cfg.lz = 4;
   cfg.seed = 2025;
+  cfg.strategy = core::VectorStrategy::Auto;  // fixtures' fingerprint
   cfg.overlap = false;
   return cfg;
 }

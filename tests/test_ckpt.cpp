@@ -569,6 +569,33 @@ TEST(SimCkpt, FingerprintSeparatesDecks) {
   EXPECT_NE(a.config_fingerprint(), c.config_fingerprint());
 }
 
+// The push strategy is part of the config fingerprint: a checkpoint of a
+// default-config deck (Manual) does not restore into a deck that asks
+// for Auto, the default of older builds (docs/CHECKPOINT.md), and the
+// refusal is the typed fingerprint error, raised before any state moves.
+TEST(SimCkpt, StrategyChangeIsFingerprintMismatch) {
+  const auto dir = scratch("strategy");
+  const std::string path = (dir / "manual.ckpt").string();
+  auto manual = make_lpi_small();
+  ASSERT_EQ(manual.config().strategy, core::VectorStrategy::Manual);
+  manual.run(3);
+  manual.checkpoint(path);
+
+  core::decks::LpiParams p;
+  p.nx = 12;
+  p.ny = 4;
+  p.nz = 4;
+  p.ppc = 2;
+  p.sort_interval = 10;
+  p.strategy = core::VectorStrategy::Auto;
+  auto auto_deck = core::decks::make_lpi(p);
+  auto_deck.config().energy_interval = 5;
+  EXPECT_NE(auto_deck.config_fingerprint(), manual.config_fingerprint());
+  EXPECT_EQ(thrown_kind([&] { auto_deck.restore(path); }),
+            ckpt::RestoreErrorKind::FingerprintMismatch);
+  EXPECT_EQ(auto_deck.step_count(), 0);
+}
+
 TEST(SimCkpt, BitIdenticalResumeOnLpi) {
   const auto dir = scratch("resume");
   const std::string path = (dir / "mid.ckpt").string();

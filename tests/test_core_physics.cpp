@@ -408,6 +408,38 @@ TEST(Fdtd, GhostLayersMirrorPeriodically) {
 }
 
 // ----------------------------------------------------------------------
+// One default push strategy everywhere
+// ----------------------------------------------------------------------
+
+// Manual (portable SIMD) is the fastest push on CPUs (paper Fig. 4), so
+// every config and deck a user builds without naming a strategy runs it.
+TEST(Defaults, EveryConfigAndDeckDefaultsToManualStrategy) {
+  constexpr auto kManual = core::VectorStrategy::Manual;
+  EXPECT_EQ(core::kDefaultStrategy, kManual);
+  EXPECT_EQ(core::SimulationConfig{}.strategy, kManual);
+  EXPECT_EQ(core::DomainConfig{}.strategy, kManual);
+  EXPECT_EQ(core::decks::LpiParams{}.strategy, kManual);
+  EXPECT_EQ(core::decks::ReconnectionParams{}.strategy, kManual);
+  EXPECT_EQ(core::decks::WeibelParams{}.strategy, kManual);
+
+  // The decks hand their params' strategy to the engine.
+  core::decks::LpiParams lpi;
+  lpi.nx = 4;
+  lpi.ny = lpi.nz = 2;
+  lpi.ppc = 1;
+  EXPECT_EQ(core::decks::make_lpi(lpi).config().strategy, kManual);
+  core::decks::ReconnectionParams rec;
+  rec.nx = rec.nz = 4;
+  rec.ny = 2;
+  rec.ppc = 1;
+  EXPECT_EQ(core::decks::make_reconnection(rec).config().strategy, kManual);
+  core::decks::WeibelParams wei;
+  wei.nx = wei.ny = wei.nz = 2;
+  wei.ppc = 1;
+  EXPECT_EQ(core::decks::make_weibel(wei).config().strategy, kManual);
+}
+
+// ----------------------------------------------------------------------
 // Simulation-level invariants
 // ----------------------------------------------------------------------
 

@@ -64,17 +64,20 @@ struct RankState {
   std::vector<float> ex, by;
 };
 
-/// 2-rank fenced run (a z-drifting plasma, so particles cross the slab
-/// faces every step) with `omp_threads` OpenMP threads per rank.
-std::vector<RankState> run_fenced(int omp_threads, int steps) {
+/// 2-rank run (a z-drifting plasma, so particles cross the slab faces
+/// every step) of the fenced or the overlapped schedule with
+/// `omp_threads` OpenMP threads per rank.
+std::vector<RankState> run_schedule(bool overlap, int omp_threads,
+                                    int steps) {
   std::vector<RankState> out(2);
   const int before = pk::concurrency();
   {
     pk::ScopeGuard guard(omp_threads);
     mpi::run(2, [&](mpi::Comm& comm) {
       auto cfg = test_config();
-      cfg.overlap = false;
+      cfg.overlap = overlap;
       core::DistributedSimulation sim(cfg, comm);
+      EXPECT_EQ(sim.overlap_active(), overlap);
       const auto e = sim.add_species("e", -1.0f, 1.0f, 20000);
       sim.load_uniform_plasma(e, 3, 0.2f, 0.02f, -0.01f, 0.3f);
       sim.run(steps);
@@ -92,14 +95,9 @@ std::vector<RankState> run_fenced(int omp_threads, int steps) {
   return out;
 }
 
-}  // namespace
-
-// The fenced schedule pushes serially into a private block merged in
-// fixed order and queues exits in particle-index order, so it is
-// bit-identical at any OpenMP thread count (docs/ASYNC.md).
-TEST(Domain, FencedStepBitIdenticalAcrossOmpThreadCounts) {
-  const auto one = run_fenced(1, 10);
-  const auto four = run_fenced(4, 10);
+/// Each rank's particles and ex/by, compared bit for bit.
+void expect_bit_identical(const std::vector<RankState>& one,
+                          const std::vector<RankState>& four) {
   for (std::size_t r = 0; r < one.size(); ++r) {
     const auto& a = one[r];
     const auto& b = four[r];
@@ -122,6 +120,19 @@ TEST(Domain, FencedStepBitIdenticalAcrossOmpThreadCounts) {
       ASSERT_EQ(a.by[v], b.by[v]) << "rank " << r << " by voxel " << v;
     }
   }
+}
+
+}  // namespace
+
+// Both schedules push serially into a private block merged in fixed order
+// and queue exits in push order, so each is bit-identical at any OpenMP
+// thread count (docs/ASYNC.md).
+TEST(Domain, FencedStepBitIdenticalAcrossOmpThreadCounts) {
+  expect_bit_identical(run_schedule(false, 1, 10), run_schedule(false, 4, 10));
+}
+
+TEST(Domain, OverlappedStepBitIdenticalAcrossOmpThreadCounts) {
+  expect_bit_identical(run_schedule(true, 1, 10), run_schedule(true, 4, 10));
 }
 
 TEST(Domain, RejectsIndivisibleDecomposition) {

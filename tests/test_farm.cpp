@@ -27,6 +27,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "ckpt/ring.hpp"
 #include "core/core.hpp"
 #include "farm/farm.hpp"
@@ -466,20 +470,6 @@ TEST(FarmScheduler, RescaleMidRunResumesAtNewShape) {
   const auto dir = scratch("rescale");
   constexpr std::int64_t kSteps = 200;
 
-  // Reference: the same deck, uninterrupted, on one tile. The rescaled
-  // job switches to several tiles mid-run, so the deposit
-  // grouping differs by float roundoff — energies match to a tolerance,
-  // not bitwise.
-  double ref_field = 0;
-  std::vector<double> ref_kinetic;
-  {
-    auto ref = make_lpi_small();
-    ref.run(static_cast<int>(kSteps));
-    const auto e = ref.energies();
-    ref_field = e.field;
-    ref_kinetic.assign(e.species.begin(), e.species.end());
-  }
-
   farm::Scheduler::Options opt;
   opt.max_concurrent = 1;
   opt.slice_steps = 6;
@@ -505,12 +495,34 @@ TEST(FarmScheduler, RescaleMidRunResumesAtNewShape) {
   // next slice rebuilt it at the new shape from the ring.
   EXPECT_GE(st->checkpoints, 1);
   EXPECT_GE(st->restores, 1);
+  // Where the rebuilt engine resumed depends on when the rescale landed.
+  const std::int64_t k = st->rescaled_at_step;
+  ASSERT_GE(k, 1);
+  ASSERT_LT(k, kSteps);
 
-  EXPECT_NEAR(st->field_energy, ref_field, 1e-2 * std::abs(ref_field));
-  ASSERT_EQ(st->kinetic.size(), ref_kinetic.size());
-  for (std::size_t i = 0; i < ref_kinetic.size(); ++i)
-    EXPECT_NEAR(st->kinetic[i], ref_kinetic[i],
-                1e-2 * std::abs(ref_kinetic[i]));
+  // Reference: the same deck on one tile to step k, parked and rebuilt
+  // at the farm's new shape (2 workers, 4 tiles) as the job was, then on
+  // to the end. Tiled resume is bit-identical at any step and the tiled
+  // step at any worker count, so the job must match bitwise.
+  const std::string ckpt = (dir / "ref.ckpt").string();
+  {
+    auto first = make_lpi_small();
+    first.run(static_cast<int>(k));
+    first.checkpoint(ckpt);
+  }
+  auto ref = make_lpi_small();
+  ref.config().tiles.enabled = true;
+  ref.config().graph_instances = 2;
+  ref.config().tiles.count = 4;
+  ref.restore(ckpt);
+  ASSERT_EQ(ref.step_count(), k);
+  ref.run(static_cast<int>(kSteps - k));
+  const auto e = ref.energies();
+  EXPECT_EQ(st->field_energy, e.field) << "rescaled at step " << k;
+  ASSERT_EQ(st->kinetic.size(), e.species.size());
+  for (std::size_t i = 0; i < e.species.size(); ++i)
+    EXPECT_EQ(st->kinetic[i], e.species[i])
+        << "species " << i << ", rescaled at step " << k;
 
   // The Stealing engine actually ran post-rescale: pool telemetry landed
   // in the job's counter namespace.
@@ -518,6 +530,35 @@ TEST(FarmScheduler, RescaleMidRunResumesAtNewShape) {
 
   // Terminal jobs refuse further rescales.
   EXPECT_FALSE(s.rescale("scale", 4));
+}
+
+// Farm workers adopt the constructing thread's OpenMP team size
+// (omp_set_num_threads is per thread), so pk::initialize(n) binds the
+// engines the farm steps, and their reductions group sums the same way
+// as a reference run on the caller's thread.
+TEST(FarmScheduler, WorkersAdoptCallersOmpThreadCount) {
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  const auto dir = scratch("omp_team");
+  const int before = omp_get_max_threads();
+  std::atomic<int> seen{0};
+  {
+    pk::ScopeGuard guard(2);
+    farm::Scheduler::Options opt;
+    opt.max_concurrent = 1;
+    opt.ring_dir = (dir / "rings").string();
+    farm::Scheduler s(opt);
+    auto spec = lpi_job("team", 2);
+    spec.on_complete = [&seen](core::Simulation&) {
+      seen = omp_get_max_threads();
+    };
+    s.submit(spec);
+    ASSERT_TRUE(s.wait("team").has_value());
+  }
+  omp_set_num_threads(before);
+  EXPECT_EQ(seen.load(), 2);
+#endif
 }
 
 TEST(FarmStatusBus, RescaleCommandSteersAndReports) {
@@ -548,6 +589,7 @@ TEST(FarmStatusBus, RescaleCommandSteersAndReports) {
   EXPECT_NE(status.find("\"rescales\":"), std::string::npos);
   EXPECT_NE(status.find("\"rescale_workers\":2"), std::string::npos);
   EXPECT_NE(status.find("\"rescale_tiles\":4"), std::string::npos);
+  EXPECT_NE(status.find("\"rescaled_at_step\":"), std::string::npos);
 
   ASSERT_TRUE(s.cancel("job"));
   ASSERT_TRUE(poll_status(s, "job", [](const farm::JobStatus& st) {

@@ -7,7 +7,10 @@
 //   * initialize_from(): probe on a cold cache, write-through, hit on the
 //     second run, fall back past a corrupt/stale cache with the matching
 //     prof counter, force re-probe,
-//   * probe outputs always inside the documented clamp ranges,
+//   * probe outputs always inside the documented clamp ranges, at any
+//     OpenMP team size (the push probe times the serial tile kernels),
+//   * a cache written by another probe kernel (tagged or untagged) is
+//     stale and re-probed,
 //   * installation into core::active_push_gates()/sort::active_sort_model()
 //     and reset_for_testing() restoring the built-in defaults.
 #include <gtest/gtest.h>
@@ -16,7 +19,10 @@
 #include <fstream>
 #include <string>
 
+#include <cmath>
+
 #include "core/push_tuning.hpp"
+#include "pk/config.hpp"
 #include "prof/prof.hpp"
 #include "tune/tune.hpp"
 
@@ -90,6 +96,7 @@ class TuneTest : public ::testing::Test {
 TEST_F(TuneTest, FingerprintFormatAndStability) {
   const std::string fp = tune::host_fingerprint();
   EXPECT_EQ(fp.rfind("vpictune1;host=", 0), 0u) << fp;
+  EXPECT_NE(fp.find(";probe=serial-tile;"), std::string::npos) << fp;
   EXPECT_NE(fp.find(";threads="), std::string::npos) << fp;
   EXPECT_NE(fp.find(";isa="), std::string::npos) << fp;
   EXPECT_NE(fp.find(";w="), std::string::npos) << fp;
@@ -242,6 +249,61 @@ TEST_F(TuneTest, StaleCacheFallsBackWithStaleCounter) {
   ASSERT_TRUE(s.cache_error.has_value());
   EXPECT_EQ(s.cache_error->kind, tune::TuneErrorKind::StaleFingerprint);
   EXPECT_EQ(prof::counter_value("tune.cache.stale"), stale_before + 1);
+}
+
+// Gates measured on another push kernel do not describe the step's: a
+// cache with an older probe tag, or none (the OpenMP-lane probe wrote
+// none), must fail the fingerprint and be re-probed, never reused.
+TEST_F(TuneTest, CacheFromAnotherProbeKernelIsReprobed) {
+  const std::string fp = tune::host_fingerprint();
+  const std::string tag = ";probe=serial-tile";
+  const std::size_t at = fp.find(tag);
+  ASSERT_NE(at, std::string::npos) << fp;
+  std::string untagged = fp;
+  untagged.erase(at, tag.size());
+  std::string old_tag = fp;
+  old_tag.replace(at, tag.size(), ";probe=openmp-lane");
+
+  const auto dir = scratch("probe_tag");
+  for (const std::string& other : {untagged, old_tag}) {
+    SCOPED_TRACE(other);
+    const std::string path = (dir / "cache.json").string();
+    tune::TuneState old = sample_state();
+    old.fingerprint = other;
+    write_text(path, tune::encode_cache(old));
+
+    const auto probe_before = prof::counter_value("tune.probe");
+    const tune::TuneState s = tune::initialize_from(path, false);
+    EXPECT_EQ(s.source, tune::Source::Probes);
+    ASSERT_TRUE(s.cache_error.has_value());
+    EXPECT_EQ(s.cache_error->kind, tune::TuneErrorKind::StaleFingerprint);
+    EXPECT_EQ(prof::counter_value("tune.probe"), probe_before + 1);
+    // The re-probe rewrote the cache under this build's fingerprint.
+    tune::TuneState back;
+    EXPECT_FALSE(tune::decode_cache(slurp(path), fp, back).has_value());
+  }
+}
+
+// The push probe times the serial tile kernels on the calling thread, so
+// the OpenMP team size cannot change what it measures: under 1 and 4
+// threads every layout yields finite, clamped gates and a positive cost.
+// (Timings differ run to run; only the structure is compared.)
+TEST_F(TuneTest, PushProbeGatesClampedAtAnyOmpTeamSize) {
+  const int before = vpic::pk::concurrency();
+  for (const int threads : {1, 4}) {
+    vpic::pk::ScopeGuard guard(threads);
+    for (const auto layout : core::kAllParticleLayouts) {
+      SCOPED_TRACE(std::string(core::to_string(layout)) + " at " +
+                   std::to_string(threads) + " threads");
+      double cost = 0;
+      const core::PushGates g = tune::probe_push_gates(layout, &cost);
+      EXPECT_TRUE(std::isfinite(g.min_mean_run));
+      expect_gates_in_clamps(g);
+      EXPECT_TRUE(std::isfinite(cost));
+      EXPECT_GT(cost, 0.0);
+    }
+  }
+  vpic::pk::initialize(before);
 }
 
 TEST_F(TuneTest, MissingCacheCountsAsMissNotCorrupt) {
